@@ -102,8 +102,7 @@ def measure_puts(system: RCStor, sizes, busy: bool = False,
             t0 = rt.env.now
             yield rt.env.process(one_put(object_id, size))
             latencies.append(rt.env.now - t0)
-            if rt.obs is not None:
-                rt.span("put", "puts", t0, rt.env.now, size=size)
+            rt.span("put", "puts", t0, rt.env.now, size=size)
 
     rt.env.run(rt.env.process(driver()))
     rt.finalize()

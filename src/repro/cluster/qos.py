@@ -123,15 +123,10 @@ def serve_open_loop(system: RCStor, objects, times, tenant_ids, object_ids,
         if is_degraded:
             result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
             hedge = hedge_s if hedge_ok else None
-            if system.layout.spans_disks:
-                failed_role = system.cluster.pgs[obj.pg_id].role_of(
-                    failed_disk)
-                yield env.process(system._degraded_striped_proc(
-                    rt, obj, failed_role, client, result,
-                    priority=lane, hedge_s=hedge))
-            else:
-                yield env.process(system._degraded_single_disk_proc(
-                    rt, obj, client, result, priority=lane, hedge_s=hedge))
+            failed_role = system.cluster.pgs[obj.pg_id].role_of(failed_disk)
+            yield env.process(system._degraded_read_proc(
+                rt, obj, failed_role, client, result, priority=lane,
+                hedge_s=hedge))
             report.hedges_fired += result.hedges_fired
             report.hedge_wins += result.hedge_wins
         else:
@@ -147,9 +142,8 @@ def serve_open_loop(system: RCStor, objects, times, tenant_ids, object_ids,
             h_latency[label].observe(elapsed)
             if is_degraded:
                 h_degraded[label].observe(elapsed)
-        if rt.obs is not None:
-            rt.span("serve", f"lane-{lane}", t0, env.now, tenant=label,
-                    size=obj.size, degraded=is_degraded)
+        rt.span("serve", f"lane-{lane}", t0, env.now, tenant=label,
+                size=obj.size, degraded=is_degraded)
 
     def dispatcher():
         # Open loop: spawn each request at its scheduled instant and keep

@@ -53,8 +53,10 @@ class FaultInjector:
         self._active_slowdowns: dict[int, list[float]] = {}
         self._on_disk_failure: list[Callable[[int], None]] = []
         self._progress_pending = list(plan.progress_events)
+        # An empty plan stands for "no faults" and must leave the metric
+        # registry exactly as a run without an injector would.
         self._counter = (obs.metrics.counter("faults.injected")
-                         if obs is not None else None)
+                         if obs is not None and plan else None)
         self._timeline = getattr(obs, "timeline", None) \
             if obs is not None else None
         self._flightrec = getattr(obs, "flightrec", None) \

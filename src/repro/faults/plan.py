@@ -130,8 +130,8 @@ class FaultPlan:
     ``helper_timeout`` (seconds, ``None`` = disarmed) is how long a
     failure-aware repair path waits on its helper reads before cancelling
     the outstanding requests and hedging against a rotated helper set.  An
-    empty plan (no events, no timeout) is falsy and the simulator treats
-    it exactly like no plan at all — fault hooks are zero-cost when unused.
+    empty plan (no events, no timeout) is falsy; it is what a simulation
+    run without a plan replays, and its injector schedules no events.
     """
 
     events: tuple[FaultEvent, ...] = ()
