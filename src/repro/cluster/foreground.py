@@ -48,6 +48,7 @@ def _generator(env: Environment, disk: Disk, rng: np.random.Generator,
     while True:
         yield env.timeout(float(rng.exponential(mean_interarrival)))
         # Size jitter: half to double the mean, log-uniform.
-        size = int(mean_bytes * 2 ** rng.uniform(-1, 1))
+        # numpy's uniform(-1, 1) is -1 + 2 * random(): same double, same state.
+        size = int(mean_bytes * 2 ** (2.0 * rng.random() - 1.0))
         ios = max(1, int(round(mean_ios * size / mean_bytes)))
         env.process(disk.read(ios, size, FOREGROUND))

@@ -36,8 +36,9 @@ class EngineHooks:
     monotonic sim-clock invariant.  The second-generation telemetry hooks
     — ``timeline`` (sim-time sampler), ``profiler`` (wall-clock dispatch
     profiler) and ``flightrec`` (postmortem ring buffer) — all default to
-    ``None``, so an observer without telemetry costs exactly what it did
-    before they existed.
+    ``None``.  Unless one of ``invariants``, ``profiler`` or ``flightrec``
+    needs to see each event, the engine counts natively and these per-event
+    methods are never bound (:meth:`native_counters`).
     """
 
     __slots__ = ("events_scheduled", "process_resumes", "invariants",
@@ -50,6 +51,21 @@ class EngineHooks:
         self.timeline = None
         self.profiler = None
         self.flightrec = None
+
+    def native_counters(self):
+        """``(events_scheduled, process_resumes)`` when counting is all
+        these hooks would do per event, else ``None``.
+
+        With no flight recorder, invariant checker or profiler attached,
+        an :class:`~repro.sim.Environment` built now counts natively and
+        adds its totals into these counters at run end, before each
+        timeline sample and at close, instead of calling
+        :meth:`on_schedule`/:meth:`on_resume` millions of times.
+        """
+        if (self.flightrec is None and self.invariants is None
+                and self.profiler is None):
+            return self.events_scheduled, self.process_resumes
+        return None
 
     def on_schedule(self, when: float, event) -> None:
         """Called whenever the engine enqueues an event."""

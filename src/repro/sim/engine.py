@@ -28,6 +28,22 @@ must not change — see DESIGN.md, "The bit-identity constraint".
   schedule step: object churn per simulated I/O is a handful of tuple and
   list allocations, with no callback indirection beyond the one stored
   waiter callback.
+* The process registry holds only *unfinished* processes, in a dict used
+  as an insertion-ordered set; a process leaves it when it finishes.  A
+  busy run starts hundreds of thousands of short-lived disk-read processes
+  that would otherwise stay reachable (with their generators) until the
+  environment dies, growing the heap and the cyclic GC's rescans.
+  :meth:`Environment.close` still closes the survivors in creation order:
+  that order fixes when their ``with``-held grants release, hence the
+  metrics, so it must not depend on which processes happened to finish.
+* Engine activity is counted natively.  ``seq`` already numbers every
+  enqueue and a per-environment tally counts resumes; both are added into
+  the observer's ``engine.events_scheduled``/``engine.process_resumes``
+  counters when :meth:`Environment.run` returns, before each timeline
+  sample and in :meth:`Environment.close`.  Per-event hooks are bound only
+  when something needs each event (a flight recorder, invariant checker
+  or profiler, or any hooks object that is not counting-only), decided
+  once when the environment is built.
 """
 
 from __future__ import annotations
@@ -129,7 +145,8 @@ class Process(Event):
     cancelling resource grants) on the way out.
     """
 
-    __slots__ = ("_gen", "_hooks", "_target")
+    # ``__weakref__`` lets tests prove a finished process is not retained.
+    __slots__ = ("_gen", "_on_resume", "_target", "__weakref__")
 
     def __init__(self, env: "Environment", gen: Generator):
         if not hasattr(gen, "send"):
@@ -140,8 +157,8 @@ class Process(Event):
         self.triggered = False
         self._queued = False
         self._gen = gen
-        self._hooks = env.trace_hooks
-        env._processes.append(self)
+        self._on_resume = env._on_resume
+        env._processes[self] = None
         # Start the process at the current time.
         start = Event(env)
         start.callbacks.append(self._resume)
@@ -159,6 +176,9 @@ class Process(Event):
         self.triggered = True
         self._value = value
         env = self.env
+        # pop, not del: a process resumed after close() (which empties the
+        # registry) finishes here too.
+        env._processes.pop(self, None)
         env._seq = seq = env._seq + 1
         self._queued = True
         env._ready.append((env.now, seq, self))
@@ -185,9 +205,10 @@ class Process(Event):
             # Stale wakeup: the wait was interrupted (or finished) after
             # this event had already been detached for firing.
             return
-        hooks = self._hooks
-        if hooks is not None:
-            hooks.on_resume(self, trigger)
+        hook = self._on_resume
+        if hook is not None:
+            hook(self, trigger)
+        self.env._resumes += 1
         try:
             target = self._gen.send(trigger._value)
         except StopIteration as stop:
@@ -298,9 +319,14 @@ class Environment:
 
     ``trace_hooks`` (optional) receives ``on_schedule(when, event)`` for
     every enqueued event and ``on_resume(process, trigger)`` for every
-    process resumption — see :class:`repro.obs.EngineHooks`.  The hook is
-    bound once at construction (``_on_schedule``), so the untraced hot path
-    pays a single ``is not None`` test per scheduled event.
+    process resumption — see :class:`repro.obs.EngineHooks`.  The hooks are
+    bound once at construction (``_on_schedule``/``_on_resume``), so the
+    untraced hot path pays a single ``is not None`` test per event.
+
+    Hooks that only count may say so: when ``trace_hooks.native_counters()``
+    returns an ``(events_scheduled, process_resumes)`` pair of counters,
+    no per-event hook is bound and the environment adds its own counts
+    into them instead (see the module docstring).
 
     Future events (positive-delay timeouts) live in the ``_queue`` heap;
     immediate events (callbacks of triggered events, process starts,
@@ -310,7 +336,8 @@ class Environment:
     """
 
     __slots__ = ("now", "trace_hooks", "_queue", "_ready", "_seq",
-                 "_processes", "_on_schedule", "_on_advance")
+                 "_resumes", "_counted", "_counters", "_processes",
+                 "_on_schedule", "_on_resume", "_on_advance")
 
     def __init__(self, trace_hooks=None):
         self.now: float = 0.0
@@ -318,18 +345,41 @@ class Environment:
         self._queue: list[tuple[float, int, Event]] = []
         self._ready: deque[tuple[float, int, Event]] = deque()
         self._seq = 0
-        self._processes: list[Process] = []
-        self._on_schedule = (trace_hooks.on_schedule
-                             if trace_hooks is not None else None)
+        # Native counts: resumes since the last flush, and ``_seq`` at it.
+        self._resumes = 0
+        self._counted = 0
+        # Unfinished processes in creation order (a dict used as an
+        # ordered set): a process leaves it when it finishes.
+        self._processes: dict[Process, None] = {}
+        self._on_schedule = None
+        self._on_resume = None
+        self._counters = None
         # Clock-advance hook: a sim-time sampler (repro.obs.timeline) binds
         # a per-environment cursor here.  Duck-typed so the engine never
         # imports the obs layer; the untimed hot path pays one `is not
         # None` test per forward clock move.
         self._on_advance = None
         if trace_hooks is not None:
+            native = getattr(trace_hooks, "native_counters", None)
+            if native is not None:
+                self._counters = native()
+            if self._counters is None:
+                self._on_schedule = trace_hooks.on_schedule
+                self._on_resume = trace_hooks.on_resume
             timeline = getattr(trace_hooks, "timeline", None)
             if timeline is not None:
                 self._on_advance = timeline.bind(self)
+
+    def _flush_counts(self) -> None:
+        """Add the enqueues and resumes since the last flush into the
+        native counters (a no-op when per-event hooks or none are bound)."""
+        counters = self._counters
+        if counters is not None:
+            scheduled, resumed = counters
+            scheduled.value += self._seq - self._counted
+            resumed.value += self._resumes
+            self._counted = self._seq
+            self._resumes = 0
 
     # ------------------------------------------------------------------
     # Scheduling internals
@@ -374,7 +424,9 @@ class Environment:
     def run(self, until: Event | float | None = None) -> Any:
         """Run until the given event triggers / time passes / queue drains.
 
-        Returns the event's value when ``until`` is an event.
+        Returns the event's value when ``until`` is an event.  A time
+        ``until`` before ``now`` raises :class:`SimulationError`: the clock
+        never runs backwards.
         """
         if isinstance(until, Event):
             stop_event = until
@@ -385,6 +437,18 @@ class Environment:
         else:
             stop_event = None
             deadline = float(until)
+            if deadline < self.now:
+                raise SimulationError(
+                    f"sim clock would run backwards: run(until={deadline!r}) "
+                    f"at t={self.now!r}")
+        try:
+            return self._dispatch(stop_event, deadline)
+        finally:
+            # Also on a raise, so a postmortem snapshot sees the counts.
+            self._flush_counts()
+
+    def _dispatch(self, stop_event: Event | None,
+                  deadline: float | None) -> Any:
         queue = self._queue
         ready = self._ready
         pop = heapq.heappop
@@ -426,6 +490,7 @@ class Environment:
                 # interval just closed, and schedules nothing itself.
                 advance = self._on_advance
                 if advance is not None:
+                    self._flush_counts()
                     advance(when)
                 self.now = when
             callbacks = event.callbacks
@@ -442,7 +507,7 @@ class Environment:
         return None
 
     def close(self) -> None:
-        """Close every process generator started in this environment.
+        """Close every unfinished process generator of this environment.
 
         Open-ended processes abandoned at the end of a run (load
         generators, server loops) are otherwise finalized whenever garbage
@@ -452,6 +517,17 @@ class Environment:
         would then release into someone else's metrics.  Closing here pins
         that cleanup to a deterministic point: releases happen in process
         creation order at this environment's final sim time.
+
+        The registry holds only unfinished processes (finished ones leave
+        it, so a long run does not retain them), still in creation order.
+        Cleanup may finish other processes (an interrupt) or start new
+        ones; the latter are closed after the rest, as the order demands.
         """
-        for process in self._processes:
-            process._gen.close()
+        processes = self._processes
+        while processes:
+            batch = list(processes)
+            processes.clear()
+            for process in batch:
+                process._gen.close()
+        # Grant releases during cleanup schedule events: count them too.
+        self._flush_counts()

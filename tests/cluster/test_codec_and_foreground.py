@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import DEFAULT_CODEC, CodecModel, Disk
+from repro.cluster import foreground
 from repro.cluster.disk import DiskModel, FOREGROUND
 from repro.cluster.foreground import start_foreground_load
 from repro.sim import Environment
@@ -42,6 +45,43 @@ def test_foreground_load_validation():
     with pytest.raises(ValueError):
         start_foreground_load(env, _make_disks(env), np.random.default_rng(0),
                               utilization=1.5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=1, max_value=200))
+def test_size_jitter_draw_is_numpy_uniform(seed, n_draws):
+    """The generator's jitter draw ``2.0 * random() - 1.0`` is numpy's own
+    ``uniform(-1, 1)`` formula: equal doubles, equal bit-generator state."""
+    ref = np.random.default_rng(seed)
+    fast = np.random.default_rng(seed)
+    for _ in range(n_draws):
+        assert 2.0 * fast.random() - 1.0 == ref.uniform(-1, 1)
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_foreground_sizes_match_uniform_reference():
+    """The generator requests the sizes the ``rng.uniform(-1, 1)`` jitter
+    drew, interleaved with its exponential inter-arrival draws."""
+    requested = []
+
+    class RecordingDisk:
+        def read(self, ios, size, priority):
+            requested.append((ios, size))
+            yield from ()
+
+    env = Environment()
+    env.process(foreground._generator(env, RecordingDisk(),
+                                      np.random.default_rng(9), 0.01,
+                                      8 * MB, 2))
+    env.run(until=1.0)
+    ref = np.random.default_rng(9)
+    expected = []
+    for _ in requested:
+        ref.exponential(0.01)
+        size = int(8 * MB * 2 ** ref.uniform(-1, 1))
+        expected.append((max(1, int(round(2 * size / (8 * MB)))), size))
+    assert len(requested) > 50 and requested == expected
 
 
 def test_foreground_load_hits_target_utilization():

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 
 from repro.sim import AllOf, Environment, SimulationError
@@ -313,6 +315,32 @@ def test_run_until_zero_deadline():
     assert env.now == 0.0
 
 
+def test_run_until_earlier_time_raises_before_popping():
+    """A deadline behind the clock would move it back: refuse it, leaving
+    the clock and the queue untouched."""
+    env = Environment()
+    log = []
+
+    def late():
+        yield env.timeout(10)
+        log.append(env.now)
+
+    env.process(late())
+    env.run(until=6)
+    with pytest.raises(SimulationError, match="backwards"):
+        env.run(until=2)
+    assert env.now == 6.0
+    env.run()
+    assert log == [10.0]
+
+    empty = Environment()
+    empty.run(until=3)
+    with pytest.raises(SimulationError, match="backwards"):
+        empty.run(until=1)
+    assert empty.now == 3.0
+    empty.run(until=3)  # the current time itself is fine
+
+
 def test_rehop_passes_value_of_drained_event():
     """The re-hop path must resume with the drained event's value."""
     env = Environment()
@@ -363,6 +391,19 @@ def test_trace_hooks_observe_schedule_and_resume():
     assert calls["resume"] == 3     # two resumes + final StopIteration
 
 
+def test_finished_process_is_not_retained():
+    """The environment keeps only unfinished processes: a finished one
+    (and its generator) is freed once nothing else refers to it."""
+    env = Environment()
+
+    def short():
+        yield env.timeout(1)
+
+    ref = weakref.ref(env.process(short()))
+    env.run()
+    assert ref() is None
+
+
 def test_many_processes_scale():
     """The heap scheduler handles thousands of concurrent processes."""
     env = Environment()
@@ -402,3 +443,40 @@ def test_close_finalizes_abandoned_processes_deterministically():
     env.close()  # idempotent: exhausted generators are no-ops
     assert len(cleaned) == 2
     assert keep_alive  # processes stayed referenced until close
+
+
+def test_close_survives_cleanup_that_finishes_or_starts_processes():
+    """Cleanup run by ``close()`` may interrupt another process to its end
+    or start a new one; every generator is still closed, in creation
+    order, with the late starter last."""
+    env = Environment()
+    closed, late = [], []
+
+    def waiter(name):
+        try:
+            yield env.timeout(10)
+        finally:
+            closed.append(name)
+
+    def interrupter():
+        try:
+            yield env.timeout(10)
+        finally:
+            closed.append("interrupter")
+            child.interrupt()
+
+    def spawner():
+        try:
+            yield env.timeout(10)
+        finally:
+            closed.append("spawner")
+            late.append(env.process(waiter("late")))
+
+    env.process(interrupter())
+    child = env.process(waiter("child"))
+    env.process(spawner())
+    env.process(waiter("tail"))
+    env.run(until=1)
+    env.close()
+    assert closed == ["interrupter", "child", "spawner", "tail"]
+    assert child.triggered and late[0]._gen.gi_frame is None
