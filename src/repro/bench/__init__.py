@@ -5,11 +5,12 @@ Run it as a module::
     python -m repro.bench --out BENCH_engine.json
     python -m repro.bench --baseline benchmarks/baseline.json --gate 0.20
 
-The suite times the simulator's hot paths (micro) and two full experiment
-scenarios (macro), emits a stable JSON document, and — given a baseline —
-fails when any benchmark regresses beyond the gate tolerance.  CI runs it
-on every push; see ``benchmarks/baseline.json`` and the README's
-Performance section.
+The suite times the simulator's hot paths (micro), three full experiment
+scenarios — fig4, fig13 and tradeoff (macro) — and the fabric,
+reliability, traffic and simlint (lint) groups, emits a stable JSON
+document, and — given a baseline — fails when any benchmark regresses
+beyond the gate tolerance.  CI runs it on every push; see
+``benchmarks/baseline.json`` and the README's Performance section.
 """
 
 from repro.bench.harness import (

@@ -40,7 +40,9 @@ class BenchSpec:
     """One benchmark: a named, repeatable, timed callable."""
 
     name: str
-    group: str  # "calibration" | "micro" | "macro"
+    #: "calibration" | "micro" | "macro" | "fabric" | "reliability" |
+    #: "traffic" | "lint"
+    group: str
     fn: Callable[[], Any]
     #: work items one ``fn()`` call performs, for the per-unit rate
     units: int = 1

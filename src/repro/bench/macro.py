@@ -2,11 +2,11 @@
 
 Micro benchmarks localize regressions; these catch the interactions the
 micros cannot — layout math, catalog ingest, degraded-read pipelines and
-the recovery scheduler all running together.  Both run the real
-:func:`repro.runner.run_scenarios` path with the cache disabled (a cached
-macro benchmark would time JSON deserialization) at a reduced scale, so a
-bench run stays in CI budget while exercising the same code as
-``python -m repro.experiments``.
+the recovery scheduler all running together.  All three (fig4, fig13 and
+tradeoff) run the real :func:`repro.runner.run_scenarios` path with the
+cache disabled (a cached macro benchmark would time JSON deserialization)
+at a reduced scale, so a bench run stays in CI budget while exercising the
+same code as ``python -m repro.experiments``.
 """
 
 from __future__ import annotations

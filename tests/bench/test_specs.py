@@ -64,3 +64,29 @@ def test_reliability_spec_bodies_run():
     specs = reliability.specs()
     assert [s.group for s in specs] == ["reliability"] * 3
     assert all(s.units > 1 for s in specs)
+
+
+def test_fabric_spec_bodies_run():
+    from repro.bench import fabric
+
+    hops = fabric._route_resolution()
+    assert fabric._N_ROUTES < hops <= 5 * fabric._N_ROUTES
+    assert fabric._intra_rack_transfers() > 0
+    assert fabric._cross_rack_gather() > 0
+    specs = fabric.specs()
+    assert [s.group for s in specs] == ["fabric"] * 3
+    assert all(s.units > 1 for s in specs)
+
+
+def test_traffic_spec_bodies_run():
+    from repro.bench import traffic
+
+    expected = traffic._RATE * traffic._DURATION
+    assert abs(traffic._schedule_build() - expected) < 5 * expected ** 0.5
+    assert 0 <= traffic._zipf_sample() < traffic._N_OBJECTS
+    drain = traffic._open_loop_serve()
+    _system, _objects, schedule, _failed = traffic._SERVE_STATE
+    assert drain > schedule.times[-1]  # the last request was served
+    specs = traffic.specs()
+    assert [s.group for s in specs] == ["traffic"] * 3
+    assert all(s.units >= 1 for s in specs)
