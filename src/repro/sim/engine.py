@@ -335,13 +335,12 @@ class Environment:
     single-heap order exactly.
     """
 
-    __slots__ = ("now", "trace_hooks", "_queue", "_ready", "_seq",
-                 "_resumes", "_counted", "_counters", "_processes",
-                 "_on_schedule", "_on_resume", "_on_advance")
+    __slots__ = ("now", "_queue", "_ready", "_seq", "_resumes", "_counted",
+                 "_counters", "_processes", "_on_schedule", "_on_resume",
+                 "_on_advance")
 
     def __init__(self, trace_hooks=None):
         self.now: float = 0.0
-        self.trace_hooks = trace_hooks
         self._queue: list[tuple[float, int, Event]] = []
         self._ready: deque[tuple[float, int, Event]] = deque()
         self._seq = 0
