@@ -28,23 +28,12 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.cfg import dotted_name, own_nodes
 from repro.analysis.linter import Suppressions, iter_python_files, layer_of
 
 #: An unknown-receiver method call resolves only when at most this many
 #: project functions share the method name.
 AMBIG_LIMIT = 6
-
-
-def own_nodes(fn: ast.AST):
-    """Every AST node beneath ``fn`` without entering nested functions."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 @dataclass
@@ -143,18 +132,6 @@ def _module_name(path: Path, root_hint: str = "repro") -> str:
     return ".".join(parts[-2:]) if len(parts) >= 2 else ".".join(parts)
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a pure Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 class Project:
     """The whole-program symbol table + call graph.
 
@@ -247,7 +224,7 @@ class Project:
                 qual = f"{prefix}.{node.name}"
                 cinfo = ClassInfo(
                     qualname=qual, name=node.name, node=node, module=mod,
-                    base_names=[d for d in map(_dotted, node.bases)
+                    base_names=[d for d in map(dotted_name, node.bases)
                                 if d is not None])
                 self.classes[qual] = cinfo
                 mod.classes.setdefault(node.name, cinfo)
@@ -393,7 +370,7 @@ class Project:
     def _resolve_attribute(self, caller: FunctionInfo,
                            func: ast.Attribute) -> list[FunctionInfo]:
         attr = func.attr
-        base = _dotted(func.value)
+        base = dotted_name(func.value)
         if base in ("self", "cls") and caller.class_name is not None:
             found = self._resolve_method(self.class_of(caller), attr)
             if found:

@@ -17,6 +17,11 @@ Ownership escapes end the analysis conservatively: returning the request,
 passing it to a call other than ``release``/``cancel``, aliasing or storing
 it all mark the request CLOSED (someone else is now responsible), which
 keeps the rule free of false positives on the resource layer itself.
+
+The module also owns the AST helpers every analysis pass shares, and the
+FLT501 walk both tiers run: :func:`unprotected_nodes` yields what a
+function evaluates outside each ``try`` whose cleanup releases or cancels
+its repair-path requests.
 """
 
 from __future__ import annotations
@@ -52,32 +57,138 @@ class LeakFinding:
     unprotected_waits: list[int] = field(default_factory=list)  # RES302 lines
 
 
-def _own_statements(fn: ast.AST):
-    """Every statement inside ``fn`` but outside nested function defs."""
-    todo = list(ast.iter_child_nodes(fn))
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+# ----------------------------------------------------------------------
+# Shared AST helpers
+# ----------------------------------------------------------------------
+def own_nodes(fn: ast.AST):
+    """Every AST node beneath ``fn`` without entering nested functions."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
             continue
-        if isinstance(node, ast.stmt):
-            yield node
-        todo.extend(ast.iter_child_nodes(node))
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a pure Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def names_in(node: ast.AST, name: str) -> bool:
+    """Whether the name ``name`` occurs anywhere in ``node``."""
+    return any(isinstance(n, ast.Name) and n.id == name
+               for n in ast.walk(node))
+
+
+def is_release_of(node: ast.AST, names) -> bool:
+    """Whether ``node`` releases or cancels one of ``names``:
+    ``n.release()``, ``n.cancel()``, ``recv.release(n)`` or
+    ``recv.cancel(n)``."""
+    if not (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in RELEASE_METHODS):
+        return False
+    if isinstance(node.func.value, ast.Name) and node.func.value.id in names:
+        return True
+    return any(isinstance(a, ast.Name) and a.id in names for a in node.args)
+
+
+def try_cleans(stmt: ast.Try, names) -> bool:
+    """Whether a ``finally`` or ``except`` block of ``stmt`` releases or
+    cancels one of ``names`` (a fault raised in the body then cannot
+    strand the request)."""
+    cleanup = list(stmt.finalbody)
+    for handler in stmt.handlers:
+        cleanup.extend(handler.body)
+    return any(is_release_of(n, names)
+               for s in cleanup for n in ast.walk(s))
+
+
+# ----------------------------------------------------------------------
+# FLT501: repair-path waits outside cleanup protection
+# ----------------------------------------------------------------------
+#: Function-name fragments that mark repair-path code — the code fault
+#: injection interrupts (hedge timeouts, mid-repair crashes).
+REPAIR_PATH_MARKERS = ("repair", "recover", "rebuild", "regenerat",
+                       "decode", "fallback", "hedge")
+
+
+def repair_requests(fn: ast.FunctionDef) -> set[str]:
+    """Names a repair-path function binds to raw ``*.request(...)`` calls
+    (empty for any other function).  A with-managed request cancels itself
+    on exit, so withitems are not collected."""
+    lowered = fn.name.lower()
+    if not any(m in lowered for m in REPAIR_PATH_MARKERS):
+        return set()
+    return {t.id for n in own_nodes(fn)
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+            and isinstance(n.value.func, ast.Attribute)
+            and n.value.func.attr == "request"
+            for t in n.targets if isinstance(t, ast.Name)}
+
+
+def unprotected_nodes(stmts, names):
+    """Every node evaluated by ``stmts`` outside each ``try`` whose
+    cleanup releases or cancels one of ``names`` (:func:`try_cleans`).
+
+    A simple statement is a root as a whole; of ``if``/``while`` only the
+    test is a root, of ``for`` the iterable, of ``with`` the context
+    expressions, and their bodies are walked in turn.  Nested defs and
+    classes are skipped.
+    """
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        roots, bodies = [], []
+        if isinstance(stmt, ast.Try):
+            if not try_cleans(stmt, names):
+                bodies.append(stmt.body)
+            bodies += [h.body for h in stmt.handlers]
+            bodies += [stmt.orelse, stmt.finalbody]
+        elif isinstance(stmt, (ast.If, ast.While)):
+            roots, bodies = [stmt.test], [stmt.body, stmt.orelse]
+        elif isinstance(stmt, ast.For):
+            roots, bodies = [stmt.iter], [stmt.body, stmt.orelse]
+        elif isinstance(stmt, ast.With):
+            roots = [item.context_expr for item in stmt.items]
+            bodies = [stmt.body]
+        else:
+            roots = [stmt]
+        for root in roots:
+            yield root
+            yield from own_nodes(root)
+        for body in bodies:
+            yield from unprotected_nodes(body, names)
+
+
+# ----------------------------------------------------------------------
+# RES301/RES302: the acquire/release walk
+# ----------------------------------------------------------------------
 def find_acquire_sites(fn: ast.FunctionDef) -> list[AcquireSite]:
     """Acquire sites assigned to a simple name inside this function."""
     sites: list[AcquireSite] = []
-    for stmt in _own_statements(fn):
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name) \
-                and _is_acquire_call(stmt.value):
-            sites.append(AcquireSite(stmt.targets[0].id, stmt, stmt.value,
+    for node in own_nodes(fn):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name) \
+                and _is_acquire_call(node.value):
+            sites.append(AcquireSite(node.targets[0].id, node, node.value,
                                      managed=False))
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
+        elif isinstance(node, ast.With):
+            for item in node.items:
                 if _is_acquire_call(item.context_expr) and \
                         isinstance(item.optional_vars, ast.Name):
-                    sites.append(AcquireSite(item.optional_vars.id, stmt,
+                    sites.append(AcquireSite(item.optional_vars.id, node,
                                              item.context_expr, managed=True))
     return sites
 
@@ -86,11 +197,6 @@ def _is_acquire_call(node: ast.AST) -> bool:
     return (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in ACQUIRE_METHODS)
-
-
-def _names_in(node: ast.AST, name: str) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == name
-               for n in ast.walk(node))
 
 
 class _Walker:
@@ -149,12 +255,12 @@ class _Walker:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             # A nested function capturing the request takes ownership.
-            if _names_in(stmt, var):
+            if names_in(stmt, var):
                 return {CLOSED}
             return states
 
         if isinstance(stmt, ast.Return):
-            if stmt.value is not None and _names_in(stmt.value, var):
+            if stmt.value is not None and names_in(stmt.value, var):
                 return set()  # ownership returned to the caller
             self._exit(states, protected, stmt.lineno)
             return set()
@@ -248,23 +354,10 @@ class _Walker:
 
     def _stmt_releases(self, stmt: ast.stmt) -> bool:
         """Whether a statement (sub)tree releases/cancels the tracked var."""
-        for node in ast.walk(stmt):
-            if self._is_release_call(node):
-                return True
-        return False
+        return any(self._is_release_call(n) for n in ast.walk(stmt))
 
     def _is_release_call(self, node: ast.AST) -> bool:
-        var = self.site.var
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in RELEASE_METHODS):
-            return False
-        # recv.release(var) or var.release()
-        if any(isinstance(a, ast.Name) and a.id == var for a in node.args):
-            return True
-        return isinstance(func.value, ast.Name) and func.value.id == var
+        return is_release_of(node, (self.site.var,))
 
     # ------------------------------------------------------------------
     def _scan_expr_stmt(self, stmt, states: set, protected: bool,
@@ -316,7 +409,7 @@ class _Walker:
                     return True  # aliased
                 for target in node.targets:
                     if not isinstance(target, ast.Name) and \
-                            _names_in(target, var):
+                            names_in(target, var):
                         return True  # stored into a container/attribute
             if isinstance(node, (ast.List, ast.Tuple, ast.Set, ast.Dict)):
                 if any(isinstance(e, ast.Name) and e.id == var

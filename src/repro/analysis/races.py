@@ -44,13 +44,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.analysis.callgraph import (
-    FunctionInfo,
-    Project,
-    _dotted,
-    own_nodes,
-)
-from repro.analysis.cfg import IntervalWalker
+from repro.analysis.callgraph import FunctionInfo, Project
+from repro.analysis.cfg import IntervalWalker, own_nodes
 from repro.analysis.linter import Violation
 
 #: Layers whose callees are engine/observer primitives: kept opaque (their

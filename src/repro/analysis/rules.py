@@ -16,9 +16,8 @@ RES301  resource grant not released on every path
 RES302  grant held across a sim wait without try/finally protection
 LAY401  import layering violation
 LAY402  mutable default argument
-FLT501  repair-path wait on a fault-injectable resource grant without
-        timeout/cancellation handling (normal-read service routines
-        are allow-listed)
+FLT501  repair-path wait on a fault-injectable resource grant outside
+        a try whose finally/except releases or cancels it
 OBS601  per-event metric registry lookup (``.counter(...)`` /
         ``.gauge(...)`` / ``.histogram(...)``) inside a loop of a
         process generator; hoist the handle before the loop
@@ -36,7 +35,13 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.cfg import analyse_function
+from repro.analysis.cfg import (
+    analyse_function,
+    dotted_name,
+    own_nodes,
+    repair_requests,
+    unprotected_nodes,
+)
 from repro.analysis.linter import Fix, Violation
 
 #: Layers whose behaviour determines simulated numbers.
@@ -109,18 +114,6 @@ _MUTABLE_CONSTRUCTORS = frozenset(
      "Counter", "deque"})
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a pure Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 class Rule:
     """Base class: id, summary, layer scoping, and the AST check."""
 
@@ -152,7 +145,7 @@ class WallClockRule(Rule):
     def check(self, tree, source, path):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = _dotted(node.func)
+                name = dotted_name(node.func)
                 if name in _WALL_CLOCK_CALLS:
                     yield Violation(
                         self.id, path, node.lineno, node.col_offset,
@@ -174,7 +167,7 @@ class NondeterministicRngRule(Rule):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             if name is None:
                 continue
             if has_random_import and name.startswith("random.") \
@@ -390,17 +383,6 @@ class UnprotectedWaitRule(Rule):
                         "wait leaks the grant")
 
 
-#: Function-name fragments that mark repair-path code — the code fault
-#: injection interrupts (hedge timeouts, mid-repair crashes).
-_REPAIR_PATH_MARKERS = ("repair", "recover", "rebuild", "regenerat",
-                        "decode", "fallback", "hedge")
-
-#: Normal-read service routines: fault injection never interrupts a plain
-#: foreground read mid-wait, so a raw grant wait is fine there even when
-#: the function name would otherwise look repair-flavoured.
-_NORMAL_READ_ALLOWLIST = frozenset({"_batch_read", "_normal_read_proc"})
-
-
 class HedgelessRepairWaitRule(Rule):
     id = "FLT501"
     summary = ("repair-path code must not wait on a fault-injectable "
@@ -409,104 +391,23 @@ class HedgelessRepairWaitRule(Rule):
     scope = "cfg"
 
     def check(self, tree, source, path):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
                 continue
-            if node.name in _NORMAL_READ_ALLOWLIST:
+            tracked = repair_requests(fn)
+            if not tracked:
                 continue
-            lowered = node.name.lower()
-            if not any(m in lowered for m in _REPAIR_PATH_MARKERS):
-                continue
-            tracked = self._request_vars(node)
-            if tracked:
-                yield from self._scan(node.body, tracked, False, path,
-                                      node.name)
-
-    @staticmethod
-    def _request_vars(fn: ast.FunctionDef) -> set[str]:
-        """Variables bound to raw ``*.request(...)`` calls (a with-managed
-        request cancels itself on exit, so withitems are not tracked)."""
-        out: set[str] = set()
-        for n in ast.walk(fn):
-            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call) \
-                    and isinstance(n.value.func, ast.Attribute) \
-                    and n.value.func.attr == "request":
-                out.update(t.id for t in n.targets
-                           if isinstance(t, ast.Name))
-        return out
-
-    def _scan(self, stmts, tracked: set[str], protected: bool, path: str,
-              fn_name: str) -> Iterable[Violation]:
-        """Statement walk tracking try/finally-or-except protection.
-
-        Does not descend into nested function definitions — a nested
-        generator is scoped by its own name on the outer walk.
-        """
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(stmt, ast.Try):
-                inner = protected or self._try_cancels(stmt, tracked)
-                yield from self._scan(stmt.body, tracked, inner, path,
-                                      fn_name)
-                for handler in stmt.handlers:
-                    yield from self._scan(handler.body, tracked, protected,
-                                          path, fn_name)
-                yield from self._scan(stmt.orelse, tracked, protected,
-                                      path, fn_name)
-                yield from self._scan(stmt.finalbody, tracked, protected,
-                                      path, fn_name)
-                continue
-            if not protected:
-                for var, line, col in self._grant_waits(stmt, tracked):
+            for node in unprotected_nodes(fn.body, tracked):
+                if isinstance(node, ast.Yield) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id in tracked:
                     yield Violation(
-                        self.id, path, line, col,
-                        f"repair-path `{fn_name}` waits on resource grant "
-                        f"`{var}` with no timeout/cancellation handling; an "
-                        "injected fault interrupting the wait strands the "
-                        "queued request — use `with ...request(...)` or "
-                        "cancel it in try/finally")
-            for body in ("body", "orelse", "finalbody"):
-                yield from self._scan(getattr(stmt, body, []), tracked,
-                                      protected, path, fn_name)
-
-    @staticmethod
-    def _grant_waits(stmt: ast.stmt, tracked: set[str]):
-        """``yield <tracked-name>`` expressions in one statement, skipping
-        nested function subtrees."""
-        stack = [stmt]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue
-            if isinstance(node, ast.Yield) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id in tracked:
-                yield node.value.id, node.lineno, node.col_offset
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _try_cancels(node: ast.Try, tracked: set[str]) -> bool:
-        """Whether the try's finally/except cleans up a tracked request
-        (``req.cancel()`` or ``*.release(req)``)."""
-        cleanup = list(node.finalbody)
-        for handler in node.handlers:
-            cleanup.extend(handler.body)
-        for stmt in cleanup:
-            for n in ast.walk(stmt):
-                if not (isinstance(n, ast.Call)
-                        and isinstance(n.func, ast.Attribute)):
-                    continue
-                if n.func.attr == "cancel" \
-                        and isinstance(n.func.value, ast.Name) \
-                        and n.func.value.id in tracked:
-                    return True
-                if n.func.attr == "release" and any(
-                        isinstance(a, ast.Name) and a.id in tracked
-                        for a in n.args):
-                    return True
-        return False
+                        self.id, path, node.lineno, node.col_offset,
+                        f"repair-path `{fn.name}` waits on resource grant "
+                        f"`{node.value.id}` with no timeout/cancellation "
+                        "handling; an injected fault interrupting the wait "
+                        "strands the queued request — use `with "
+                        "...request(...)` or cancel it in try/finally")
 
 
 class LayeringRule(Rule):
@@ -574,18 +475,6 @@ class MutableDefaultRule(Rule):
 _REGISTRY_LOOKUPS = frozenset({"counter", "gauge", "histogram"})
 
 
-def _scoped_nodes(node: ast.AST) -> Iterable[ast.AST]:
-    """Every node beneath ``node`` without entering nested functions."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.Lambda)):
-            continue
-        yield child
-        stack.extend(ast.iter_child_nodes(child))
-
-
 class HotLoopMetricLookupRule(Rule):
     id = "OBS601"
     summary = ("metric registry lookups inside process-generator loops must "
@@ -597,19 +486,19 @@ class HotLoopMetricLookupRule(Rule):
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
-            own = list(_scoped_nodes(fn))
+            own = list(own_nodes(fn))
             if not any(isinstance(n, (ast.Yield, ast.YieldFrom))
                        for n in own):
                 continue  # not a process generator: one-shot cost is fine
             for loop in own:
                 if not isinstance(loop, (ast.For, ast.While)):
                     continue
-                for node in _scoped_nodes(loop):
+                for node in own_nodes(loop):
                     if not (isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Attribute)
                             and node.func.attr in _REGISTRY_LOOKUPS):
                         continue
-                    chain = _dotted(node.func.value)
+                    chain = dotted_name(node.func.value)
                     if chain is None:
                         continue
                     parts = chain.lower().split(".")

@@ -26,7 +26,8 @@ Two whole-program checks consume them:
 * **FLT501 lift** — a repair-path function that hands its raw request to
   a helper whose parameter is in ``waits`` is flagged at the call site:
   the wait happens out of line, but an injected fault still strands the
-  queued request.
+  queued request.  It walks the same unprotected roots as the per-file
+  rule (:func:`~repro.analysis.cfg.unprotected_nodes`).
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import FunctionInfo, Project, own_nodes
+from repro.analysis.callgraph import FunctionInfo, Project
 from repro.analysis.cfg import (
     RELEASE_METHODS,
     analyse_function,
+    names_in,
+    repair_requests,
+    try_cleans,
+    unprotected_nodes,
 )
 from repro.analysis.linter import Violation
-from repro.analysis.rules import _NORMAL_READ_ALLOWLIST, _REPAIR_PATH_MARKERS
 
 _MAX_ROUNDS = 12
 
@@ -143,9 +147,11 @@ class GrantSummaries:
 class _DirectCollector:
     """One statement walk of a function recording parameter events.
 
-    Tracks try/finally-or-except *protection* the same way the FLT501
-    rule does: inside a try whose cleanup cancels/releases the parameter,
-    waits on it are handled."""
+    Tracks try/finally-or-except *protection* with the FLT501 cleanup
+    predicate (:func:`~repro.analysis.cfg.try_cleans`): inside a try whose
+    cleanup cancels/releases the parameter, waits on it are handled.  The
+    walk still enters protected bodies, because releases and escapes there
+    count too."""
 
     def __init__(self, owner: GrantSummaries, fn: FunctionInfo,
                  params: dict, summary: ParamSummary):
@@ -165,11 +171,11 @@ class _DirectCollector:
                              ast.ClassDef)):
             # Capturing a param in a nested def moves responsibility.
             for name, idx in self.params.items():
-                if _names_loaded(stmt, name):
+                if names_in(stmt, name):
                     self.summary.escapes.add(idx)
             return
         if isinstance(stmt, ast.Try):
-            inner = protected or self._try_cleans(stmt)
+            inner = protected or try_cleans(stmt, self.params)
             self.walk(stmt.body, inner)
             for handler in stmt.handlers:
                 self.walk(handler.body, protected)
@@ -181,18 +187,9 @@ class _DirectCollector:
                 self._escaping_names(stmt.value)
                 self._expr_events(stmt.value, protected)
             return
-        if isinstance(stmt, ast.If):
-            self._expr_events(stmt.test, protected)
-            self.walk(stmt.body, protected)
-            self.walk(stmt.orelse, protected)
-            return
-        if isinstance(stmt, ast.While):
-            self._expr_events(stmt.test, protected)
-            self.walk(stmt.body, protected)
-            self.walk(stmt.orelse, protected)
-            return
-        if isinstance(stmt, ast.For):
-            self._expr_events(stmt.iter, protected)
+        if isinstance(stmt, (ast.If, ast.While, ast.For)):
+            self._expr_events(stmt.iter if isinstance(stmt, ast.For)
+                              else stmt.test, protected)
             self.walk(stmt.body, protected)
             self.walk(stmt.orelse, protected)
             return
@@ -202,23 +199,6 @@ class _DirectCollector:
             self.walk(stmt.body, protected)
             return
         self._expr_events(stmt, protected)
-
-    def _try_cleans(self, node: ast.Try) -> bool:
-        cleanup = list(node.finalbody)
-        for handler in node.handlers:
-            cleanup.extend(handler.body)
-        for stmt in cleanup:
-            for n in ast.walk(stmt):
-                if isinstance(n, ast.Call) \
-                        and isinstance(n.func, ast.Attribute) \
-                        and n.func.attr in RELEASE_METHODS:
-                    if isinstance(n.func.value, ast.Name) \
-                            and n.func.value.id in self.params:
-                        return True
-                    if any(isinstance(a, ast.Name) and a.id in self.params
-                           for a in n.args):
-                        return True
-        return False
 
     # ------------------------------------------------------------------
     def _expr_events(self, root, protected: bool) -> None:
@@ -294,11 +274,6 @@ class _DirectCollector:
                 self.summary.escapes.add(self.params[n.id])
 
 
-def _names_loaded(tree, name: str) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == name
-               for n in ast.walk(tree))
-
-
 # ----------------------------------------------------------------------
 # Whole-program checks built on the summaries
 # ----------------------------------------------------------------------
@@ -364,99 +339,26 @@ class GrantEscapePass:
     def _lifted_flt(self, fn: FunctionInfo):
         if fn.layer not in ("cluster", "faults"):
             return
-        if fn.name in _NORMAL_READ_ALLOWLIST:
+        tracked = repair_requests(fn.node)
+        if not tracked:
             return
-        lowered = fn.name.lower()
-        if not any(m in lowered for m in _REPAIR_PATH_MARKERS):
-            return
-        request_vars = {
-            t.id for n in own_nodes(fn.node)
-            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
-            and isinstance(n.value.func, ast.Attribute)
-            and n.value.func.attr == "request"
-            for t in n.targets if isinstance(t, ast.Name)}
-        if not request_vars:
-            return
-        yield from self._flt_scan(fn, fn.node.body, request_vars,
-                                  protected=False)
-
-    def _flt_scan(self, fn: FunctionInfo, stmts, tracked: set,
-                  protected: bool):
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in unprotected_nodes(fn.node.body, tracked):
+            if not isinstance(node, ast.Call):
                 continue
-            if isinstance(stmt, ast.Try):
-                inner = protected or self._try_cancels(stmt, tracked)
-                yield from self._flt_scan(fn, stmt.body, tracked, inner)
-                for handler in stmt.handlers:
-                    yield from self._flt_scan(fn, handler.body, tracked,
-                                              protected)
-                yield from self._flt_scan(fn, stmt.orelse, tracked,
-                                          protected)
-                yield from self._flt_scan(fn, stmt.finalbody, tracked,
-                                          protected)
-                continue
-            if not protected:
-                if isinstance(stmt, (ast.If, ast.While)):
-                    yield from self._flt_calls(fn, stmt.test, tracked)
-                elif isinstance(stmt, ast.For):
-                    yield from self._flt_calls(fn, stmt.iter, tracked)
-                elif isinstance(stmt, ast.With):
-                    for item in stmt.items:
-                        yield from self._flt_calls(fn, item.context_expr,
-                                                   tracked)
-                else:
-                    yield from self._flt_calls(fn, stmt, tracked)
-            for body in ("body", "orelse", "finalbody"):
-                yield from self._flt_scan(fn, getattr(stmt, body, []),
-                                          tracked, protected)
-
-    def _flt_calls(self, fn: FunctionInfo, stmt: ast.stmt, tracked: set):
-        stack = [stmt]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue
-            if isinstance(node, ast.Call):
-                for arg in node.args:
-                    if not (isinstance(arg, ast.Name) and arg.id in tracked):
-                        continue
-                    callees = self.project.resolve_call(fn, node)
-                    if not callees:
-                        continue
-                    mapped = [idx for idx, expr in
-                              Project.map_arguments(callees[0], node)
-                              if expr is arg]
-                    if mapped and self.summaries.waits_on(callees,
-                                                          mapped[0]):
-                        names = ", ".join(sorted(
-                            c.name for c in callees)[:3])
-                        yield Violation(
-                            "FLT501", fn.path, node.lineno,
-                            node.col_offset,
-                            f"repair-path `{fn.name}` hands grant "
-                            f"`{arg.id}` to `{names}` which waits on it "
-                            "with no timeout/cancellation handling; an "
-                            "injected fault interrupting that wait "
-                            "strands the queued request")
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _try_cancels(node: ast.Try, tracked: set) -> bool:
-        cleanup = list(node.finalbody)
-        for handler in node.handlers:
-            cleanup.extend(handler.body)
-        for stmt in cleanup:
-            for n in ast.walk(stmt):
-                if not (isinstance(n, ast.Call)
-                        and isinstance(n.func, ast.Attribute)):
+            for arg in node.args:
+                if not (isinstance(arg, ast.Name) and arg.id in tracked):
                     continue
-                if n.func.attr in RELEASE_METHODS:
-                    if isinstance(n.func.value, ast.Name) \
-                            and n.func.value.id in tracked:
-                        return True
-                    if any(isinstance(a, ast.Name) and a.id in tracked
-                           for a in n.args):
-                        return True
-        return False
+                callees = self.project.resolve_call(fn, node)
+                if not callees:
+                    continue
+                mapped = [idx for idx, expr in
+                          Project.map_arguments(callees[0], node)
+                          if expr is arg]
+                if mapped and self.summaries.waits_on(callees, mapped[0]):
+                    names = ", ".join(sorted(c.name for c in callees)[:3])
+                    yield Violation(
+                        "FLT501", fn.path, node.lineno, node.col_offset,
+                        f"repair-path `{fn.name}` hands grant `{arg.id}` "
+                        f"to `{names}` which waits on it with no "
+                        "timeout/cancellation handling; an injected fault "
+                        "interrupting that wait strands the queued request")

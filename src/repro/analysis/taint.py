@@ -34,13 +34,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.callgraph import (
-    CallSite,
-    FunctionInfo,
-    Project,
-    _dotted,
-    own_nodes,
-)
+from repro.analysis.callgraph import FunctionInfo, Project
+from repro.analysis.cfg import dotted_name
 from repro.analysis.linter import Violation
 from repro.analysis.rules import _WALL_CLOCK_CALLS
 
@@ -244,7 +239,7 @@ class _FnWalker:
         if isinstance(target, ast.Name):
             self.env[target.id] = dict(taint)
         elif isinstance(target, ast.Attribute):
-            dotted = _dotted(target)
+            dotted = dotted_name(target)
             if dotted is not None:
                 self.env[dotted] = _merge(self.env.get(dotted, {}), taint)
         elif isinstance(target, ast.Subscript):
@@ -253,7 +248,7 @@ class _FnWalker:
             if isinstance(base, ast.Name):
                 self.env[base.id] = _merge(self.env.get(base.id, {}), taint)
             else:
-                dotted = _dotted(base)
+                dotted = dotted_name(base)
                 if dotted is not None:
                     self.env[dotted] = _merge(self.env.get(dotted, {}), taint)
         elif isinstance(target, (ast.Tuple, ast.List)):
@@ -268,7 +263,7 @@ class _FnWalker:
         if isinstance(node, ast.Name):
             return self.env.get(node.id, {})
         if isinstance(node, ast.Attribute):
-            dotted = _dotted(node)
+            dotted = dotted_name(node)
             stored = self.env.get(dotted, {}) if dotted else {}
             return _merge(stored, self._eval_load(node.value))
         if isinstance(node, ast.Subscript):
@@ -283,7 +278,7 @@ class _FnWalker:
         if isinstance(node, ast.Constant):
             return {}
         if isinstance(node, ast.Attribute):
-            dotted = _dotted(node)
+            dotted = dotted_name(node)
             if dotted == "os.environ":
                 return {"value": "`os.environ`"}
             stored = self.env.get(dotted, {}) if dotted else {}
@@ -366,7 +361,7 @@ class _FnWalker:
         kw_taints = [self._eval(kw.value) for kw in call.keywords]
         all_args = _merge(*(arg_taints + kw_taints)) \
             if (arg_taints or kw_taints) else {}
-        dotted = _dotted(call.func)
+        dotted = dotted_name(call.func)
 
         source = self._source_taint(call, dotted)
         if source:
@@ -453,7 +448,7 @@ class _FnWalker:
             if func.attr in _SCHED_SINKS:
                 return _SCHED_SINKS[func.attr]
             if func.attr in _METRIC_SINKS:
-                chain = _dotted(func.value)
+                chain = dotted_name(func.value)
                 parts = chain.lower().split(".") if chain else []
                 if any("metric" in p or "registry" in p or p == "obs"
                        for p in parts):

@@ -35,11 +35,11 @@ from repro.analysis.linter import (
     lint_source,
 )
 from repro.analysis.races import RacePass
-from repro.analysis.summaries import GrantEscapePass, GrantSummaries
+from repro.analysis.summaries import GrantEscapePass
 from repro.analysis.taint import TaintPass
 
 #: Bumping this invalidates every cache entry and baseline engine match.
-ENGINE_VERSION = "simlint-2.0"
+ENGINE_VERSION = "simlint-2.1"
 
 #: Whole-program rule descriptors: (id, pass, summary).  The per-file
 #: rules live in :data:`repro.analysis.rules.ALL_RULES`; these families

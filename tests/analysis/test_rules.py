@@ -162,14 +162,30 @@ def test_lay402_applies_everywhere():
 def test_flt501_repair_wait_without_cancellation():
     source, violations = lint_fixture("flt501", layer="cluster",
                                       select=["FLT501"])
-    # Only the unprotected repair-path wait is flagged: the with-managed,
-    # try/finally-cancelled, released, allow-listed (normal read),
-    # out-of-scope, and suppressed variants all stay clean.
+    # Only the unprotected repair-path waits are flagged: the with-managed,
+    # try/finally-cancelled or -released (also nested, also through
+    # `req.release()`), normal-read, out-of-scope, and suppressed variants
+    # all stay clean.
     assert flagged_lines(violations, "FLT501") == \
-        lines_containing(source, "yield req")[:1]
-    [violation] = violations
-    assert "repair_reads" in violation.message
-    assert "cancel" in violation.message
+        lines_containing(source, "yield req")[:1] \
+        + lines_containing(source, "yield req  # nested in if/for")
+    first, nested = violations
+    assert "repair_reads" in first.message
+    assert "repair_nested_wait" in nested.message
+    assert all("cancel" in v.message for v in violations)
+
+
+def test_flt501_shapes_both_tiers_agree_on():
+    source, violations = lint_fixture("flt501", layer="cluster",
+                                      select=["FLT501"])
+
+    def lines_in(function):
+        return [v.line for v in violations if f"`{function}`" in v.message]
+
+    assert lines_in("repair_nested_wait") == \
+        lines_containing(source, "yield req  # nested in if/for")
+    assert lines_in("recovery_ok_nested_cancel") == []
+    assert lines_in("rebuild_ok_release_method") == []
 
 
 def test_flt501_scoped_to_fault_injectable_layers():

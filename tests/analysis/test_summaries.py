@@ -180,3 +180,32 @@ class Repair:
 """
     assert [v.rule for v in run_pass(source)
             if v.rule == "FLT501"] == []
+
+
+def test_flt501_lift_walks_the_per_file_rule_roots():
+    """Protection nested in an `if` holds, a call in a loop body is flagged
+    once, and `req.release()` counts as cleanup — as for the per-file rule."""
+    source = """\
+class Repair:
+    def wait_helper(self, req):
+        status = yield req
+        return status
+
+    def repair_chunk(self, disk, n):
+        req = disk.request()
+        if n:
+            try:
+                yield from self.wait_helper(req)
+            finally:
+                req.cancel()
+        try:
+            yield from self.wait_helper(req)
+        finally:
+            req.release()
+        for _ in range(n):
+            if n:
+                yield from self.wait_helper(req)  # unprotected
+"""
+    flagged = [v.line for v in run_pass(source) if v.rule == "FLT501"]
+    assert flagged == [i for i, text in enumerate(source.splitlines(), 1)
+                       if "# unprotected" in text]
