@@ -92,7 +92,7 @@ def serve_open_loop(system: RCStor, objects, times, tenant_ids, object_ids,
         degraded_ids = {obj.object_id for obj
                         in system.degraded_read_candidates(failed_disk)}
         recovery_done, meta = system._start_recovery(
-            rt, failed_disk, priority=recovery_priority,
+            rt, [failed_disk], priority=recovery_priority,
             weight_limit=weight_limit)
 
         def watch_recovery():

@@ -34,7 +34,7 @@ from repro.cluster.foreground import start_foreground_load
 from repro.cluster.network import Fabric, Link, client_link
 from repro.cluster.profiles import HelperRead, ProfileCache, RepairProfile
 from repro.cluster.topology import Cluster, ClusterConfig, PlacementGroup
-from repro.codes import LRCCode, RSCode
+from repro.codes import RSCode
 from repro.codes.base import ErasureCode
 from repro.core.layouts import RS_KIND, Layout
 from repro.faults import FaultInjector, FaultPlan
@@ -217,7 +217,9 @@ class RCStor:
         self.profiles = ProfileCache(code)
         self.rs_profiles = (self.profiles if isinstance(code, RSCode)
                             else ProfileCache(RSCode(config.k, config.r)))
-        self._scalar_rebuild = isinstance(code, (RSCode, LRCCode))
+        # Scalar codes (RS, LRC) rebuild whole rows; vector codes
+        # regenerate from sub-chunks.
+        self._scalar_rebuild = code.alpha == 1
 
     @property
     def obs(self) -> Observer | None:
@@ -862,8 +864,8 @@ class RCStor:
         """
         k = self.config.k
         parity = [k]
-        if isinstance(self.code, LRCCode):
-            # Non-MDS: needs k+1 responses (§6.1) — one more read.
+        if not self.code.is_mds:
+            # LRC: needs k+1 responses (§6.1) — one more read.
             parity.append(k + self.code.group_of(failed_role))
         primary = list(available_done.values()) + self._spawn_reads(
             rt, pg, [HelperRead(r, 1, missing_bytes, missing_bytes)
@@ -993,7 +995,7 @@ class RCStor:
         tasks: list[_RecoveryTask] = []
         unit = self.config.recovery_weight_unit
         batch_target = 4 * MB
-        scalar = self.code.alpha == 1
+        scalar = self._scalar_rebuild
         rotation = 0
         for pg, role, chunks, small in self.catalog.recovery_inventory(failed_disk):
             for size, count in sorted(chunks.items()):
@@ -1008,7 +1010,7 @@ class RCStor:
                             tuple(type(h)(h.role, 1, h.nbytes, h.nbytes)
                                   for h in profile.helpers),
                             profile.output_bytes)
-                    if scalar and isinstance(self.code, RSCode):
+                    if scalar and self.code.is_mds:
                         # Spread any-k-of-n repairs over all survivors.
                         profile = self._repick_profile(profile, set(),
                                                        rotation)
@@ -1066,17 +1068,8 @@ class RCStor:
         if not 0 <= node < self.config.n_nodes:
             raise ValueError(f"node {node} out of range")
         first = node * self.config.disks_per_node
-        failed = list(range(first, first + self.config.disks_per_node))
-        rt = _Runtime(self.config, seed, self.obs,
-                      label=f"{self.name}/node-recovery", faults=faults)
-        env = rt.env
-        tasks: list[_RecoveryTask] = []
-        for disk in failed:
-            tasks.extend(self._build_recovery_tasks(disk, rt.invariants))
-        done, meta = self._run_task_set(rt, deque(tasks), set(failed))
-        start = env.now
-        env.run(done)
-        return self._finish_recovery(rt, meta, env.now - start)
+        return self._recover(range(first, first + self.config.disks_per_node),
+                             "node-recovery", seed, faults)
 
     def _build_multi_failure_tasks(self, failed_disks: list[int],
                                    inv=None) -> list[_RecoveryTask]:
@@ -1103,7 +1096,7 @@ class RCStor:
                              if r not in pg_failed_roles]
                 # Clay decode reads every survivor; scalar codes any k.
                 helper_roles = (survivors[:k] if self._scalar_rebuild
-                                or self.code.alpha == 1 else survivors)
+                                else survivors)
                 pieces = []
                 for size, count in sorted(chunks.items()):
                     per_batch = max(1, batch_target // size)
@@ -1140,39 +1133,23 @@ class RCStor:
         if len(failed) > self.config.r:
             raise ValueError(f"more than r={self.config.r} concurrent "
                              "failures cannot be guaranteed recoverable")
+        return self._recover(failed_disks, "multi-failure-recovery", seed,
+                             faults)
+
+    def _recover(self, failed_disks, label: str, seed: int,
+                 faults: FaultPlan | None, busy: bool = False,
+                 weight_limit: int | None = None) -> RecoveryReport:
+        """One recovery run in a fresh runtime named ``label``: the body
+        of every recovery entry point."""
         rt = _Runtime(self.config, seed, self.obs,
-                      label=f"{self.name}/multi-failure-recovery",
-                      faults=faults)
-        env = rt.env
-        tasks: list[_RecoveryTask] = []
-        # Single-failure PGs: optimal plans, skipping multi-failure PGs.
-        for disk in failed_disks:
-            for task in self._build_recovery_tasks(disk, rt.invariants):
-                other = [d for d in failed if d != disk and d in task.pg]
-                if not other:
-                    tasks.append(task)
-        tasks += self._build_multi_failure_tasks(sorted(failed), rt.invariants)
-        # Helpers must not read from any failed disk.
-        for i, task in enumerate(tasks):
-            failed_roles = self._failed_roles(task.pg, failed)
-            if any(h.role in failed_roles for h in task.profile.helpers):
-                tasks[i] = replace(task, profile=self._repick_profile(
-                    task.profile, failed_roles, 0))
-        done, meta = self._run_task_set(rt, deque(tasks), failed)
-        start = env.now
-        env.run(done)
-        return self._finish_recovery(rt, meta, env.now - start)
-
-    def _start_recovery(self, rt: _Runtime, failed_disk: int,
-                        priority: int = BACKGROUND, weight_limit: int | None = None):
-        """Arm the §5.1 recovery engine in an existing runtime.
-
-        Returns ``(all_servers_done_event, meta)`` where meta carries the
-        task count and repaired byte total.
-        """
-        tasks = deque(self._build_recovery_tasks(failed_disk, rt.invariants))
-        return self._run_task_set(rt, tasks, {failed_disk}, priority,
-                                  weight_limit)
+                      label=f"{self.name}/{label}", faults=faults)
+        if busy:
+            self._start_foreground_load(rt)
+        done, meta = self._start_recovery(rt, failed_disks,
+                                          weight_limit=weight_limit)
+        start = rt.env.now
+        rt.env.run(done)
+        return self._finish_recovery(rt, meta, rt.env.now - start)
 
     def _run_task(self, rt: _Runtime, task: _RecoveryTask, server_node: int,
                   priority: int, failed_disks: set[int], pick_replacement,
@@ -1215,11 +1192,18 @@ class RCStor:
                 weight=task.weight, nbytes=profile.output_bytes)
         return ("done", None)
 
-    def _run_task_set(self, rt: _Runtime, tasks: deque,
-                      failed_disks: set[int], priority: int = BACKGROUND,
-                      weight_limit: int | None = None):
-        """Drive a queue of recovery tasks through the HTTP servers — the
-        paper's §5.1 engine.
+    def _start_recovery(self, rt: _Runtime, failed_disks,
+                        priority: int = BACKGROUND,
+                        weight_limit: int | None = None):
+        """Arm the §5.1 recovery engine in an existing runtime: a queue of
+        recovery tasks for ``failed_disks`` driven through the HTTP
+        servers.  Returns ``(all_servers_done_event, meta)`` where meta
+        carries the task count and repaired byte total.
+
+        PGs that lost one disk recover with the optimal single-failure
+        plans; PGs that lost several fall back to full MDS decode
+        (:meth:`_build_multi_failure_tasks`).  A repeated disk counts
+        once; a disk outside the cluster raises :class:`ValueError`.
 
         Each task runs :meth:`_run_task`.  A disk crash from the
         runtime's fault injector escalates affected queued tasks in place
@@ -1227,6 +1211,20 @@ class RCStor:
         drives the injector's progress-triggered events.  Without a fault
         plan the injector holds no events, so neither ever happens.
         """
+        order = list(dict.fromkeys(failed_disks))
+        for disk in order:
+            if not 0 <= disk < self.config.n_disks:
+                raise ValueError(f"disk {disk} out of range")
+        failed_disks = set(order)
+        tasks: deque = deque()
+        for disk in order:
+            # Single-failure plans, for PGs no other failed disk shares.
+            tasks.extend(
+                t for t in self._build_recovery_tasks(disk, rt.invariants)
+                if not any(d != disk and d in t.pg for d in failed_disks))
+        if len(failed_disks) > 1:
+            tasks.extend(self._build_multi_failure_tasks(
+                sorted(failed_disks), rt.invariants))
         env = rt.env
         faults = rt.faults
         meta = {"n_tasks": len(tasks),
@@ -1357,16 +1355,8 @@ class RCStor:
         escalates affected PGs to the multi-failure decode, and the report
         carries the requeue/escalate/abandon counts.
         """
-        rt = _Runtime(self.config, seed, self.obs,
-                      label=f"{self.name}/recovery", faults=faults)
-        env = rt.env
-        if busy:
-            self._start_foreground_load(rt)
-        start = env.now
-        done, meta = self._start_recovery(rt, failed_disk,
-                                          weight_limit=weight_limit)
-        env.run(done)
-        return self._finish_recovery(rt, meta, env.now - start)
+        return self._recover([failed_disk], "recovery", seed, faults, busy,
+                             weight_limit)
 
     def measure_degraded_reads_during_recovery(
             self, objects: list[StoredObject], failed_disk: int,
@@ -1384,7 +1374,7 @@ class RCStor:
                       label=f"{self.name}/degraded-during-recovery",
                       faults=faults)
         env = rt.env
-        recovery_done, meta = self._start_recovery(rt, failed_disk,
+        recovery_done, meta = self._start_recovery(rt, [failed_disk],
                                                    priority=recovery_priority)
         results: list[DegradedReadResult] = []
 

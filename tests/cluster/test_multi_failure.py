@@ -33,13 +33,34 @@ def test_validation(system):
         system.run_multi_failure_recovery([0, 6, 12, 18, 24])  # > r
 
 
-def test_single_failure_equivalence(system):
-    """A one-element failure list behaves like run_recovery."""
-    single = system.run_recovery(0)
-    multi = system.run_multi_failure_recovery([0])
-    assert multi.repaired_bytes == single.repaired_bytes
-    assert multi.n_tasks == single.n_tasks
-    assert multi.makespan == pytest.approx(single.makespan, rel=0.05)
+@pytest.fixture(scope="module")
+def stripe_rs():
+    s = RCStor(ClusterConfig(n_pgs=32), StripeLayout(256 * 1024, 10),
+               RSCode(10, 4))
+    rng = np.random.default_rng(2)
+    s.ingest(rng.integers(8 * MB, 64 * MB, size=400))
+    return s
+
+
+def test_single_failure_equivalence(system, stripe_rs):
+    """A one-element failure list is exactly run_recovery."""
+    for s in (system, stripe_rs):
+        assert s.run_multi_failure_recovery([0]) == s.run_recovery(0)
+
+
+def test_repeated_disk_is_recovered_once(system):
+    assert system.run_multi_failure_recovery([0, 0]) == system.run_recovery(0)
+
+
+def test_out_of_range_disks_raise(system):
+    assert system.config.n_disks == 96
+    for bad in (96, 999, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            system.run_recovery(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            system.run_multi_failure_recovery([0, bad])
+        with pytest.raises(ValueError, match="out of range"):
+            system.measure_degraded_reads_during_recovery([], bad)
 
 
 def test_double_failure_repairs_both_disks(system):
@@ -79,11 +100,8 @@ def test_disjoint_double_failure_is_two_singles(system):
     assert report.repaired_bytes > 0
 
 
-def test_multi_failure_with_rs_stripe():
-    config = ClusterConfig(n_pgs=32)
-    s = RCStor(config, StripeLayout(256 * 1024, 10), RSCode(10, 4))
-    rng = np.random.default_rng(2)
-    s.ingest(rng.integers(8 * MB, 64 * MB, size=400))
+def test_multi_failure_with_rs_stripe(stripe_rs):
+    s = stripe_rs
     pg = s.cluster.pgs[0]
     report = s.run_multi_failure_recovery([pg.disk_ids[0], pg.disk_ids[5]])
     assert report.repaired_bytes > 0
