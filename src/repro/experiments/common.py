@@ -92,23 +92,6 @@ def default(value, fallback):
     return fallback if value is None else value
 
 
-@dataclass(frozen=True)
-class ExperimentOptions:
-    """CLI-level knobs shared by every experiment's ``scenarios()``.
-
-    ``None`` means "use the experiment's own default"; explicit values —
-    including falsy ones — always win (resolved with :func:`default`).
-    """
-
-    n_objects: int | None = None
-    n_requests: int | None = None
-    workload: str = "W1"
-
-    @property
-    def setting(self) -> WorkloadSetting:
-        return setting_by_name(self.workload)
-
-
 def cluster_config(setting: WorkloadSetting, n_objects: int,
                    client_gbps: float = 1.0) -> ClusterConfig:
     """A cluster scaled so buckets hold a realistic number of chunks while

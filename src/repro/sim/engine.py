@@ -381,23 +381,6 @@ class Environment:
             self._resumes = 0
 
     # ------------------------------------------------------------------
-    # Scheduling internals
-    # ------------------------------------------------------------------
-    def _schedule_at(self, when: float, event: Event) -> None:
-        self._seq = seq = self._seq + 1
-        event._queued = True
-        if when > self.now:
-            heapq.heappush(self._queue, (when, seq, event))
-        else:
-            self._ready.append((when, seq, event))
-        hook = self._on_schedule
-        if hook is not None:
-            hook(when, event)
-
-    def _schedule_callbacks(self, event: Event) -> None:
-        self._schedule_at(self.now, event)
-
-    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def event(self) -> Event:
