@@ -1,8 +1,12 @@
-"""Shared benchmark helpers.
+"""Shared helper of the paper-shape benchmarks.
 
 Each benchmark regenerates one of the paper's tables or figures (see
 DESIGN.md §4 for the index), asserts its headline shape, and prints the
 paper-style rows (visible with ``pytest benchmarks/ --benchmark-only -s``).
+
+This is a plain module rather than a ``conftest.py``: the end-to-end
+harness tests keep their own ``benchmarks/e2e/tests/conftest.py``, and two
+package-less conftest files would both be imported as ``conftest``.
 """
 
 import sys

@@ -1,6 +1,6 @@
 """Ablation benches: the design choices DESIGN.md calls out."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import ablations
 from repro.experiments.common import format_table

@@ -1,6 +1,6 @@
 """§6.3 breakdown — small-size-bucket shares and average chunk sizes."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import breakdown
 from repro.experiments.common import W1_SETTING, W2_SETTING

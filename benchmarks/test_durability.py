@@ -1,6 +1,6 @@
 """§2.1 quantified: recovery speed and code structure vs durability."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import durability
 

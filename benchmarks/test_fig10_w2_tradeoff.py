@@ -1,6 +1,6 @@
 """Figure 10 — W2 (SSD) recovery time vs degraded read time, all schemes."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import tradeoff
 from repro.experiments.common import W2_SETTING

@@ -1,6 +1,6 @@
 """Figure 11 — W1 degraded read latency by object size (p5/p50/p95)."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import fig11_fig12
 from repro.experiments.common import W1_SETTING

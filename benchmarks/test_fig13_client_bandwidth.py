@@ -1,6 +1,6 @@
 """Figure 13 — pipelining benefit at 1/2/4 Gbps client links."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import fig13
 

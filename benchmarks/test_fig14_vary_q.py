@@ -1,6 +1,6 @@
 """Figure 14 — average chunk size under varying q (peak at q = 2-3)."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import fig14
 from repro.experiments.common import W1_SETTING, W2_SETTING

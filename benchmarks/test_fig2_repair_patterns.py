@@ -1,6 +1,6 @@
 """Figure 2 — Clay(10,4) repair read patterns per failed disk."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import fig2
 

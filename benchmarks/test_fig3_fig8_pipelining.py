@@ -1,6 +1,6 @@
 """Figures 3 and 8 — pipelining regimes rendered from the model."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import fig3_fig8
 

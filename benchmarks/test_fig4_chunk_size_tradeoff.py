@@ -1,6 +1,6 @@
 """Figure 4 — degraded read time vs recovery bandwidth across chunk sizes."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import calibration, fig4
 

@@ -1,6 +1,6 @@
 """Figure 7 — trace byte-CDFs of capacity and read traffic."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import fig7
 

@@ -1,6 +1,6 @@
 """§6.2 headline — 1.85x RS / 1.30x LRC recovery, degraded ≈ normal reads."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import headline
 

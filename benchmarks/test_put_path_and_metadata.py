@@ -1,7 +1,7 @@
 """§5.1 systems benches: staged put path, batch export, index metadata."""
 
 import numpy as np
-from conftest import emit
+from paper_report import emit
 
 from repro.cluster import ClusterConfig, RCStor, build_indexes
 from repro.cluster.ingestion import measure_puts, parity_update_cost, run_batch_export

@@ -1,6 +1,6 @@
 """§6.3 — degraded range reads (random offset, uniform length)."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import range_access
 

@@ -1,6 +1,6 @@
 """Table 1 — codes comparison (read traffic / storage / sub-packetization)."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import table1
 

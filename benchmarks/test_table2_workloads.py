@@ -1,6 +1,6 @@
 """Table 2 — W1/W2 workload statistics."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import table2
 

@@ -1,6 +1,6 @@
 """Table 3 — disk and network bandwidth during recovery (W1 and W2)."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import table3
 from repro.experiments.common import W1_SETTING, W2_SETTING

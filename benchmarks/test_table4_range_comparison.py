@@ -1,6 +1,6 @@
 """Table 4 — range degraded reads comparison across layouts."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import table4
 

@@ -1,6 +1,6 @@
 """Table 5 — layout comparison summary."""
 
-from conftest import emit
+from paper_report import emit
 
 from repro.experiments import table5
 
