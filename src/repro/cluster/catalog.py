@@ -4,8 +4,9 @@ The directory server maps each object to a placement group (hash of its ID)
 and — for single-disk layouts — to the least-filled data-role disk of that
 PG, then records which bucket chunks the object occupies.  The catalog is
 pure bookkeeping (no simulated time): per-(PG, role) chunk-size histograms
-drive recovery task generation, and per-object records drive degraded
-reads.  Metadata is ~40 bytes/object (§5.1), tracked for reporting.
+drive recovery task generation, per-object records drive degraded reads,
+and a per-disk index lists each disk failure's degraded-read candidates.
+Metadata is ~40 bytes/object (§5.1), tracked for reporting.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from dataclasses import dataclass, field
 
 from repro.cluster.topology import Cluster
 from repro.core.layouts import (
+    REGENERATING_KIND,
+    RS_KIND,
     ContiguousLayout,
     Layout,
     ObjectPlacement,
-    RS_KIND,
+    StripeLayout,
 )
 
 #: Approximate per-object index record size (§5.1 Metadata Management).
@@ -52,12 +55,18 @@ class Catalog:
     _contig_fill: dict[tuple[int, int], int] = field(default_factory=dict)
     #: single-disk layouts: object_id -> its (immutable) placement
     _placements: dict[int, ObjectPlacement] = field(default_factory=dict)
+    #: global disk id -> objects with data on it, in object order: the
+    #: degraded-read candidates of that disk's failure
+    _on_disk: dict[int, list[StoredObject]] = field(default_factory=dict)
     #: cached ``isinstance(layout, ContiguousLayout)`` — the ABC instance
     #: check costs a registry walk and sits on the per-chunk ingest path
     _contiguous: bool = field(init=False, default=False)
+    #: Stripe rotates each object's first strip (see :meth:`_start_role`)
+    _rotates: bool = field(init=False, default=False)
 
     def __post_init__(self):
         self._contiguous = isinstance(self.layout, ContiguousLayout)
+        self._rotates = isinstance(self.layout, StripeLayout)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -72,35 +81,41 @@ class Catalog:
     def _ingest_one(self, size: int) -> StoredObject:
         object_id = len(self.objects)
         pg = self.cluster.pgs[object_id % len(self.cluster.pgs)]
-        k = self.cluster.config.k
+        pg_id = pg.pg_id
+        on_disk = self._on_disk
         if self.layout.spans_disks:
-            obj = StoredObject(object_id, size, pg.pg_id, None)
-            placement = self._place_striped(object_id, size)
-            for chunk in placement.chunks:
-                self._account_chunk(pg.pg_id, chunk.disk_index,
-                                    chunk.stored_bytes, chunk.code_kind,
-                                    chunk.data_bytes)
+            obj = StoredObject(object_id, size, pg_id, None)
+            # Runs are grouped per disk, so a disk repeats only as
+            # consecutive runs (full strips, then the tail).
+            last = None
+            for role, nbytes, count in self.strip_runs(obj):
+                self._account_chunk(pg_id, role, nbytes, REGENERATING_KIND,
+                                    nbytes, count)
+                if role != last:
+                    on_disk.setdefault(pg.disk_ids[role], []).append(obj)
+                    last = role
         else:
-            role = min(range(k),
-                       key=lambda d: self.role_bytes.get((pg.pg_id, d), 0))
-            obj = StoredObject(object_id, size, pg.pg_id, role)
-            placement = self._place_single_disk(pg.pg_id, role, size)
+            role = min(range(self.cluster.config.k),
+                       key=lambda d: self.role_bytes.get((pg_id, d), 0))
+            obj = StoredObject(object_id, size, pg_id, role)
+            placement = self._place_single_disk(pg_id, role, size)
             self._placements[object_id] = placement
             for chunk in placement.chunks:
-                self._account_chunk(pg.pg_id, role, chunk.stored_bytes,
+                self._account_chunk(pg_id, role, chunk.stored_bytes,
                                     chunk.code_kind, chunk.data_bytes)
+            on_disk.setdefault(pg.disk_ids[role], []).append(obj)
         self.objects.append(obj)
         return obj
 
+    def _start_role(self, object_id: int) -> int:
+        """The data role of a striped object's first strip: Stripe rotates
+        it per object (block-group placement); Stripe-Max does not."""
+        return object_id % self.cluster.config.k if self._rotates else 0
+
     def _place_striped(self, object_id: int, size: int,
                        failed_role: int = 0) -> ObjectPlacement:
-        from repro.core.layouts import StripeLayout
-
-        if isinstance(self.layout, StripeLayout):
-            # Rotate the starting disk per object (block-group placement).
-            return self.layout.place(size, failed_disk=failed_role,
-                                     start_role=object_id % self.cluster.config.k)
-        return self.layout.place(size, failed_disk=failed_role)
+        return self.layout.place(size, failed_disk=failed_role,
+                                 start_role=self._start_role(object_id))
 
     def _place_single_disk(self, pg_id: int, role: int, size: int) -> ObjectPlacement:
         if self._contiguous:
@@ -111,13 +126,14 @@ class Catalog:
         return self.layout.place(size)
 
     def _account_chunk(self, pg_id: int, role: int, stored: int,
-                       kind: str, data: int) -> None:
+                       kind: str, data: int, count: int = 1) -> None:
+        """Account ``count`` equal chunks on one (PG, role)."""
         key = (pg_id, role)
         role_bytes = self.role_bytes
-        role_bytes[key] = role_bytes.get(key, 0) + data
+        role_bytes[key] = role_bytes.get(key, 0) + data * count
         if kind == RS_KIND:
             small = self.small_bytes
-            small[key] = small.get(key, 0) + stored
+            small[key] = small.get(key, 0) + stored * count
         elif self._contiguous:
             # Contiguous chunks are shared between unaligned neighbours;
             # bucket occupancy is derived from the packing fill instead.
@@ -126,7 +142,7 @@ class Catalog:
             counts = self.chunk_counts.get(key)
             if counts is None:
                 counts = self.chunk_counts[key] = Counter()
-            counts[stored] += 1
+            counts[stored] += count
 
     # ------------------------------------------------------------------
     # Lookups
@@ -142,6 +158,12 @@ class Catalog:
             return self._placements[obj.object_id]
         return self._place_striped(obj.object_id, obj.size, failed_role or 0)
 
+    def strip_runs(self, obj: StoredObject) -> list[tuple[int, int, int]]:
+        """A striped object's ``(role, strip_bytes, count)`` runs, grouped
+        per data role in the order its strips first reach each role."""
+        return self.layout.strip_runs(obj.size,
+                                      self._start_role(obj.object_id))
+
     def disk_of(self, obj: StoredObject) -> int | None:
         """Global disk ID holding a single-disk object (None for striped)."""
         if obj.role is None:
@@ -150,23 +172,10 @@ class Catalog:
         return pg.disk_ids[obj.role]
 
     def objects_on_disk(self, disk_id: int) -> list[StoredObject]:
-        """Single-disk objects that become unavailable when ``disk_id`` fails."""
-        out = []
-        for obj in self.objects:
-            if obj.role is not None and self.disk_of(obj) == disk_id:
-                out.append(obj)
-        return out
-
-    def objects_striped_over(self, disk_id: int) -> list[StoredObject]:
-        """Striped objects with a data strip on ``disk_id``."""
-        out = []
-        for obj in self.objects:
-            if obj.role is not None:
-                continue
-            pg = self.cluster.pgs[obj.pg_id]
-            if disk_id in pg and pg.role_of(disk_id) < self.cluster.config.k:
-                out.append(obj)
-        return out
+        """Objects with data on ``disk_id``, in object order: the
+        single-disk objects it holds, or the striped objects with a strip
+        on it.  These become (partially) unavailable when it fails."""
+        return list(self._on_disk.get(disk_id, ()))
 
     # ------------------------------------------------------------------
     # Recovery inventory
@@ -222,7 +231,7 @@ class Catalog:
     # ------------------------------------------------------------------
     @property
     def total_bytes(self) -> int:
-        """Total bytes (reads + writes) moved by this device."""
+        """Sum of the ingested object sizes."""
         return sum(o.size for o in self.objects)
 
     @property

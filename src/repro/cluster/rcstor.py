@@ -136,8 +136,15 @@ class _Runtime:
         self.faults = FaultInjector(self.env, self.disks, self.nics,
                                     faults or FaultPlan(), obs=obs,
                                     links=self.fabric.links)
-        self.faults.span_cb = (lambda name, start, end, **args:
-                               self.span(name, "faults", start, end, **args))
+        if obs is not None:
+            # Captures the tracer and pid, not ``self``: a runtime that
+            # references itself would outlive its measurement until the
+            # cyclic collector found it.
+            tracer, pid = obs.tracer, self.pid
+            self.faults.span_cb = (
+                lambda name, start, end, **args: tracer.complete(
+                    name, pid, tracer.track(pid, "faults"), start, end,
+                    **args))
 
     def client(self, gbps: float) -> Link:
         """A fresh client edge link.
@@ -166,6 +173,7 @@ class _Runtime:
         # remaining processes so their resource releases land here rather
         # than at garbage-collection time during a later measurement.
         self.env.close()
+        self.faults.close()
         obs = self.obs
         if obs is None:
             return
@@ -551,21 +559,22 @@ class RCStor:
                           priority: int = FOREGROUND):
         """Read an intact object: disk fetch(es) overlapped with transfer."""
         env = rt.env
-        placement = self.catalog.placement_of(obj)
         started = env.event()
         if self.layout.spans_disks:
-            pg = self.cluster.pgs[obj.pg_id]
+            # One read per data role, spawned (so scheduled) in the order
+            # the strips first reach each role.
+            disk_ids = self.cluster.pgs[obj.pg_id].disk_ids
             per_role: Counter[int] = Counter()
-            for chunk in placement.chunks:
-                per_role[chunk.disk_index] += chunk.data_bytes
+            for role, nbytes, count in self.catalog.strip_runs(obj):
+                per_role[role] += nbytes * count
             reads = [env.process(self._batch_read(
-                rt.disks[pg.disk_ids[role]], 1, nbytes, started, priority))
+                rt.disks[disk_ids[role]], 1, nbytes, started, priority))
                 for role, nbytes in per_role.items()]
         else:
             disk = rt.disks[self.catalog.disk_of(obj)]
+            n_chunks = self.catalog.placement_of(obj).n_chunks
             reads = [env.process(self._batch_read(
-                disk, max(1, placement.n_chunks), obj.size, started,
-                priority))]
+                disk, max(1, n_chunks), obj.size, started, priority))]
 
         def transfer_proc():
             yield started
@@ -900,8 +909,6 @@ class RCStor:
 
     def degraded_read_candidates(self, failed_disk: int) -> list[StoredObject]:
         """Objects rendered (partially) unavailable by a disk failure."""
-        if self.layout.spans_disks:
-            return self.catalog.objects_striped_over(failed_disk)
         return self.catalog.objects_on_disk(failed_disk)
 
     def measure_degraded_reads(self, objects: list[StoredObject],

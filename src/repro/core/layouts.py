@@ -76,7 +76,6 @@ class ObjectPlacement:
     layout_name: str
     object_size: int
     chunks: list[PlacedChunk]
-    spans_disks: bool = False
 
     def __post_init__(self):
         total = sum(c.data_bytes for c in self.chunks)
@@ -97,24 +96,18 @@ class ObjectPlacement:
             return 1.0
         return self.repaired_bytes / unavailable
 
-    def chunks_on_disk(self, disk_index: int) -> list[PlacedChunk]:
-        """Chunks placed on the given relative disk index."""
-        return [c for c in self.chunks if c.disk_index == disk_index]
-
     @property
     def n_chunks(self) -> int:
         """Number of chunks currently held."""
         return len(self.chunks)
 
-    @property
-    def average_stored_chunk(self) -> float:
-        """Mean stored size of the regenerating-code chunks."""
-        regen = [c.stored_bytes for c in self.chunks if c.code_kind == REGENERATING_KIND]
-        return sum(regen) / len(regen) if regen else 0.0
-
 
 class Layout(ABC):
-    """Maps object sizes to placements."""
+    """Maps object sizes to placements.
+
+    Layouts with ``spans_disks`` also take ``failed_disk`` and
+    ``start_role`` in :meth:`place`, and answer :meth:`strip_runs`.
+    """
 
     name: str = "abstract"
     spans_disks: bool = False
@@ -231,7 +224,36 @@ class StripeLayout(Layout):
                                needs_repair=disk == failed))
             remaining -= size
             i += 1
-        return ObjectPlacement(self.name, object_size, chunks, spans_disks=True)
+        return ObjectPlacement(self.name, object_size, chunks)
+
+    def strip_runs(self, object_size: int,
+                   start_role: int = 0) -> list[tuple[int, int, int]]:
+        """:meth:`place`'s strips folded per disk, without building them.
+
+        Returns ``(disk_index, strip_bytes, count)`` runs grouped per disk
+        in the order :meth:`place` first reaches each disk, with a disk's
+        full strips before the tail.  Accounting the runs in order thus
+        inserts keys exactly as a walk over the strips would, in O(k)
+        rather than O(object_size / strip_size).
+        """
+        if object_size <= 0:
+            raise ValueError("object size must be positive")
+        k = self.k
+        strip = self.strip_size
+        full, tail = divmod(object_size, strip)
+        n = full + (1 if tail else 0)
+        tail_at = (n - 1) % k if tail else -1
+        runs = []
+        for j in range(min(n, k)):
+            disk = (start_role + j) % k
+            count = (n - j + k - 1) // k  # strips j, j + k, ... below n
+            if j == tail_at:
+                if count > 1:
+                    runs.append((disk, strip, count - 1))
+                runs.append((disk, tail, 1))
+            else:
+                runs.append((disk, strip, count))
+        return runs
 
 
 class StripeMaxLayout(Layout):
@@ -245,20 +267,26 @@ class StripeMaxLayout(Layout):
             raise ValueError("k must be positive")
         self.k = k
 
-    def place(self, object_size: int, failed_disk: int = 0) -> ObjectPlacement:
+    def place(self, object_size: int, failed_disk: int = 0,
+              start_role: int = 0) -> ObjectPlacement:
+        failed = failed_disk % self.k
+        chunks = [PlacedChunk(size, size, REGENERATING_KIND, disk_index=disk,
+                              needs_repair=disk == failed)
+                  for disk, size, _ in self.strip_runs(object_size,
+                                                       start_role)]
+        return ObjectPlacement(self.name, object_size, chunks)
+
+    def strip_runs(self, object_size: int,
+                   start_role: int = 0) -> list[tuple[int, int, int]]:
+        """One ``(disk_index, strip_bytes, 1)`` run per non-empty strip, in
+        disk order from ``start_role``; the first ``object_size % k``
+        strips carry one extra byte."""
         if object_size <= 0:
             raise ValueError("object size must be positive")
-        base = object_size // self.k
-        extra = object_size % self.k
-        chunks: list[PlacedChunk] = []
-        for disk in range(self.k):
-            size = base + (1 if disk < extra else 0)
-            if size == 0:
-                continue
-            chunks.append(PlacedChunk(size, size, REGENERATING_KIND,
-                                      disk_index=disk,
-                                      needs_repair=(disk == failed_disk % self.k)))
-        return ObjectPlacement(self.name, object_size, chunks, spans_disks=True)
+        k = self.k
+        base, extra = divmod(object_size, k)
+        return [((start_role + j) % k, base + 1 if j < extra else base, 1)
+                for j in range(k if base else extra)]
 
 
 def _fmt_size(n: int) -> str:

@@ -76,6 +76,15 @@ class FaultInjector:
         """Subscribe to disk-crash events (called with the disk id)."""
         self._on_disk_failure.append(callback)
 
+    def close(self) -> None:
+        """Drop every disk-crash subscription once the measurement is over.
+
+        Subscribers such as the recovery engine's escalation callback
+        close over the runtime that owns this injector, so keeping them
+        would keep that runtime in a reference cycle.
+        """
+        self._on_disk_failure.clear()
+
     def notify_progress(self, fraction: float) -> None:
         """Fire progress-triggered events crossed by ``fraction``."""
         while self._progress_pending \

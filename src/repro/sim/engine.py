@@ -257,7 +257,9 @@ class Process(Event):
             self._finish(stop.value)
             return True
         except Interrupted as exc:
-            self._finish(exc)
+            # The same instance and cause, minus the traceback: its frames
+            # hold this process, which would then hold itself.
+            self._finish(exc.with_traceback(None))
             return True
         self._wait_on(new_target)
         return True
@@ -504,6 +506,14 @@ class Environment:
         it, so a long run does not retain them), still in creation order.
         Cleanup may finish other processes (an interrupt) or start new
         ones; the latter are closed after the rest, as the order demands.
+
+        A closed environment is finished: do not run it again.  Closing
+        drops what only a further run would use: each closed process's
+        wait target, and every still-queued event with its callbacks.  A
+        waiting process and its target reference each other, and every
+        queued event references the environment, so without this the
+        environment and its processes would wait for the cyclic collector
+        instead of being freed by reference counting.
         """
         processes = self._processes
         while processes:
@@ -511,5 +521,10 @@ class Environment:
             processes.clear()
             for process in batch:
                 process._gen.close()
+                process._target = None
         # Grant releases during cleanup schedule events: count them too.
         self._flush_counts()
+        for queue in (self._queue, self._ready):
+            for _when, _seq, event in queue:
+                event.callbacks = []
+            queue.clear()

@@ -154,7 +154,11 @@ class Resource:
 
     # ------------------------------------------------------------------
     def request(self, priority: int = 0) -> Request:
-        """Request the resource; yields when granted."""
+        """Request the resource; yields when granted.
+
+        The request succeeds with ``None``, as SimPy's do: hold on to the
+        request itself to release it later.
+        """
         req = Request(self.env, self, priority)
         waiters = self._waiters
         if self.in_use < self.capacity and len(waiters) == self._n_cancelled:
@@ -182,7 +186,8 @@ class Resource:
         req.grant_time = now
         if self._obs is not None:
             self._observe_grant(req)
-        req.succeed(req)
+        # No value: a request that held itself would be a reference cycle.
+        req.succeed()
 
     def _observe_grant(self, req: Request) -> None:
         now = self.env.now

@@ -1,12 +1,20 @@
 """Catalog / directory-server placement tests."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.catalog import Catalog
-from repro.core import ContiguousLayout, GeometricLayout, StripeLayout
+from repro.core import (
+    ContiguousLayout,
+    GeometricLayout,
+    StripeLayout,
+    StripeMaxLayout,
+)
 
+KB = 1 << 10
 MB = 1 << 20
 
 
@@ -74,9 +82,9 @@ def test_striped_objects_have_no_role(cluster):
     assert obj.role is None
     assert cat.disk_of(obj) is None
     pg = cluster.pgs[obj.pg_id]
-    assert obj in cat.objects_striped_over(pg.disk_ids[0])
+    assert obj in cat.objects_on_disk(pg.disk_ids[0])
     # Disk at a parity role does not make the object degraded.
-    assert obj not in cat.objects_striped_over(pg.disk_ids[13])
+    assert obj not in cat.objects_on_disk(pg.disk_ids[13])
 
 
 def test_recovery_inventory_data_role(cluster):
@@ -134,3 +142,76 @@ def test_placement_of_striped_marks_failed_strips(cluster):
     placement = cat.placement_of(obj, failed_role=3)
     needing = [c for c in placement.chunks if c.needs_repair]
     assert all(c.disk_index == 3 for c in needing)
+
+
+# ----------------------------------------------------------------------
+# Striped ingest in closed form, and the per-disk candidate index
+# ----------------------------------------------------------------------
+#: Tails, objects below one strip, fewer strips than k, exact multiples
+#: and many-strip objects, on few PGs so every (PG, role) sees many.
+STRIPED_SIZES = [1, 100 * KB, 256 * KB, 512 * KB, 700 * KB, 2 * MB + 5,
+                 2560 * KB, 10 * MB, 33 * MB + 3 * KB, 96 * KB,
+                 *np.random.default_rng(5).integers(1, 64 * MB, size=40)]
+
+
+def _per_strip_reference(cluster, layout, sizes):
+    """The ingest loop the closed form replaced: one ``place()`` per
+    object and one accounting step per strip."""
+    k = cluster.config.k
+    role_bytes: dict = {}
+    chunk_counts: dict = {}
+    for object_id, size in enumerate(sizes):
+        pg = cluster.pgs[object_id % len(cluster.pgs)]
+        if isinstance(layout, StripeLayout):
+            placement = layout.place(int(size), start_role=object_id % k)
+        else:
+            placement = layout.place(int(size))
+        for chunk in placement.chunks:
+            key = (pg.pg_id, chunk.disk_index)
+            role_bytes[key] = role_bytes.get(key, 0) + chunk.data_bytes
+            counts = chunk_counts.setdefault(key, Counter())
+            counts[chunk.stored_bytes] += 1
+    return role_bytes, chunk_counts
+
+
+@pytest.mark.parametrize("layout", [StripeLayout(256 * KB, 10),
+                                    StripeLayout(32 * KB, 10),
+                                    StripeMaxLayout(10)],
+                         ids=lambda layout: layout.name)
+def test_striped_ingest_equals_per_strip_reference(layout):
+    """Same byte counts and histograms, and the same insertion order of
+    every dict and Counter: recovery tasks are built by iterating them,
+    and task order is event order."""
+    cluster = Cluster(ClusterConfig(n_pgs=4))
+    cat = Catalog(cluster, layout)
+    cat.ingest(STRIPED_SIZES)
+    role_bytes, chunk_counts = _per_strip_reference(cluster, layout,
+                                                    STRIPED_SIZES)
+    assert list(cat.role_bytes.items()) == list(role_bytes.items())
+    assert list(cat.chunk_counts) == list(chunk_counts)
+    for key, counts in chunk_counts.items():
+        assert list(cat.chunk_counts[key].items()) == list(counts.items())
+    assert cat.small_bytes == {}
+
+
+def _disks_holding(cat, obj):
+    if obj.role is not None:
+        return {cat.disk_of(obj)}
+    pg = cat.cluster.pgs[obj.pg_id]
+    return {pg.disk_ids[c.disk_index] for c in cat.placement_of(obj).chunks}
+
+
+@pytest.mark.parametrize("layout", [
+    GeometricLayout(4 * MB, 2, max_chunk_size=256 * MB),
+    ContiguousLayout(16 * MB),
+    StripeLayout(256 * KB, 10),
+    StripeMaxLayout(10),
+], ids=lambda layout: layout.name)
+def test_candidate_index_equals_brute_force_scan(layout):
+    cluster = Cluster(ClusterConfig(n_pgs=8))
+    cat = Catalog(cluster, layout)
+    cat.ingest(STRIPED_SIZES)
+    for disk in range(cluster.config.n_disks):
+        expected = [obj for obj in cat.objects
+                    if disk in _disks_holding(cat, obj)]
+        assert cat.objects_on_disk(disk) == expected

@@ -37,6 +37,17 @@ def stripe_rs_system(config, sizes):
     return system
 
 
+def test_striped_candidates_need_a_strip_on_the_failed_disk(config):
+    """A 512 KiB object striped at 256 KiB sits on two data disks; the
+    other eight hold none of it, so their failure must not list it."""
+    system = RCStor(config, StripeLayout(256 * 1024, 10), RSCode(10, 4))
+    obj, = system.ingest([512 * 1024])
+    pg = system.cluster.pgs[obj.pg_id]
+    listed = [disk for disk in pg.disk_ids
+              if obj in system.degraded_read_candidates(disk)]
+    assert listed == [pg.disk_ids[0], pg.disk_ids[1]]
+
+
 def test_code_must_match_cluster(config):
     with pytest.raises(ValueError):
         RCStor(config, GeometricLayout(4 * MB), RSCode(6, 3))

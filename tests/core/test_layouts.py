@@ -55,8 +55,8 @@ def test_geometric_no_read_amplification():
 def test_geometric_single_disk():
     layout = GeometricLayout(4 * MB, 2)
     placement = layout.place(32 * MB)
-    assert not placement.spans_disks
-    assert placement.chunks_on_disk(0) == placement.chunks
+    assert not layout.spans_disks
+    assert all(c.disk_index == 0 for c in placement.chunks)
 
 
 def test_geometric_name_labels():
@@ -117,7 +117,7 @@ def test_contiguous_validation():
 def test_stripe_round_robin():
     layout = StripeLayout(256 * KB, k=10)
     placement = layout.place(5 * MB)
-    assert placement.spans_disks
+    assert layout.spans_disks
     assert placement.n_chunks == 20
     disks = [c.disk_index for c in placement.chunks]
     assert disks[:10] == list(range(10))
@@ -165,6 +165,60 @@ def test_stripe_validation():
         StripeMaxLayout(0)
     with pytest.raises(ValueError):
         StripeMaxLayout(4).place(0)
+    for layout in (StripeLayout(4, 3), StripeMaxLayout(3)):
+        with pytest.raises(ValueError):
+            layout.strip_runs(0)
+
+
+def test_stripe_max_rotates_with_start_role():
+    placement = StripeMaxLayout(k=4).place(10, failed_disk=0, start_role=2)
+    assert [(c.disk_index, c.data_bytes) for c in placement.chunks] == \
+        [(2, 3), (3, 3), (0, 2), (1, 2)]
+    assert [c.needs_repair for c in placement.chunks] == \
+        [False, False, True, False]
+
+
+def _fold_per_disk(chunks):
+    """``place()``'s chunks as ``(disk, bytes, count)`` runs: grouped per
+    disk in first-visit order, equal consecutive sizes on a disk merged."""
+    per_disk: dict[int, list[list[int]]] = {}
+    for c in chunks:
+        runs = per_disk.setdefault(c.disk_index, [])
+        if runs and runs[-1][0] == c.data_bytes:
+            runs[-1][1] += 1
+        else:
+            runs.append([c.data_bytes, 1])
+    return [(disk, size, count) for disk, runs in per_disk.items()
+            for size, count in runs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(min_value=1, max_value=12),
+       strip=st.integers(min_value=1, max_value=64),
+       size=st.integers(min_value=1, max_value=2000),
+       start_role=st.integers(min_value=0, max_value=30))
+def test_property_strip_runs_fold_place(k, strip, size, start_role):
+    """``strip_runs`` is ``place()`` folded per disk, order included —
+    tails, objects below one strip and fewer strips than k too."""
+    for layout in (StripeLayout(strip, k), StripeMaxLayout(k)):
+        chunks = layout.place(size, start_role=start_role).chunks
+        runs = layout.strip_runs(size, start_role)
+        assert runs == _fold_per_disk(chunks)
+        assert sum(nbytes * count for _, nbytes, count in runs) == size
+
+
+def test_strip_runs_full_strips_precede_the_tail():
+    strip = 256 * KB
+    layout = StripeLayout(strip, k=10)
+    # 25 strips from disk 3: the first five disks get three, and the
+    # fifth (disk 7) holds the 1 KiB tail as its third.
+    runs = layout.strip_runs(24 * strip + KB, start_role=3)
+    assert runs == [(3, strip, 3), (4, strip, 3), (5, strip, 3),
+                    (6, strip, 3), (7, strip, 2), (7, KB, 1),
+                    (8, strip, 2), (9, strip, 2), (0, strip, 2),
+                    (1, strip, 2), (2, strip, 2)]
+    # Below one strip: a single tail run on the start role.
+    assert layout.strip_runs(KB, start_role=7) == [(7, KB, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +238,3 @@ def test_property_all_layouts_cover_object(size):
         assert sum(c.data_bytes for c in placement.chunks) == size
         assert placement.read_amplification >= 1.0
 
-
-def test_average_stored_chunk_metric():
-    layout = GeometricLayout(4 * MB, 2)
-    placement = layout.place(32 * MB)
-    assert placement.average_stored_chunk == pytest.approx(8 * MB)

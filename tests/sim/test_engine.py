@@ -1,5 +1,6 @@
 """Tests for the discrete-event engine."""
 
+import gc
 import weakref
 
 import pytest
@@ -480,3 +481,36 @@ def test_close_survives_cleanup_that_finishes_or_starts_processes():
     env.close()
     assert closed == ["interrupter", "child", "spawner", "tail"]
     assert child.triggered and late[0]._gen.gi_frame is None
+
+
+def test_closed_environment_is_freed_by_reference_counting():
+    """``close()`` finishes the environment: queued events and the wait
+    targets of closed processes are dropped, so nothing is left in a
+    cycle for the collector to find."""
+    env = Environment()
+    gate = env.event()  # never fires
+
+    def blocked():
+        # A waiting process and its target reference each other.
+        yield gate
+
+    def racer():
+        # So do an AnyOf and its pending timeouts.
+        yield env.any_of([env.timeout(40), env.timeout(50)])
+
+    def open_ended():
+        while True:
+            yield env.timeout(1)
+
+    refs = [weakref.ref(env.process(gen()))
+            for gen in (blocked, racer, open_ended)]
+    env.run(until=3.5)
+    gc.collect()
+    gc.disable()
+    try:
+        env.close()
+        assert not env._queue and not env._ready
+        del env, gate
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()

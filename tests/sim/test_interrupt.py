@@ -82,6 +82,29 @@ def test_interrupt_runs_finally_and_finishes_with_interrupted():
     assert proc.value.cause == "boredom"
 
 
+def test_interrupt_value_is_the_same_interrupted_with_its_cause():
+    """The process finishes with the very instance its generator saw,
+    cause included, but without the traceback whose frames would hold
+    the process itself."""
+    env = Environment()
+    cause = ("hedge-loser", 3)
+    seen = []
+
+    def worker():
+        try:
+            yield env.timeout(100.0)
+        except Interrupted as exc:
+            seen.append(exc)
+            raise
+
+    proc = env.process(worker())
+    env.run(until=1.0)
+    assert proc.interrupt(cause)
+    assert proc.value is seen[0]
+    assert proc.value.cause is cause
+    assert proc.value.__traceback__ is None
+
+
 def test_interrupt_caught_process_continues_on_new_event():
     env = Environment()
 

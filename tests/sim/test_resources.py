@@ -30,6 +30,22 @@ def test_serial_service_on_unit_resource():
     assert done == [(2, "a"), (5, "b"), (6, "c")]
 
 
+def test_granted_request_succeeds_with_none():
+    """As in SimPy, a grant carries no value: a request holding itself
+    would be a reference cycle."""
+    env = Environment()
+    res = Resource(env)
+    got = []
+
+    def job():
+        with res.request() as req:
+            got.append((yield req))
+            got.append(req.granted)
+
+    env.run(env.process(job()))
+    assert got == [None, True]
+
+
 def test_parallel_service_with_capacity():
     env = Environment()
     disk = Resource(env, capacity=2)
