@@ -18,9 +18,16 @@ pass touched, so a regression in the gate points at a subsystem, not at
   :class:`~repro.gf.solve.GFLinearSystem` solve.
 * ``codec.decode_cold`` / ``codec.decode_cached`` — RS decode with the
   solution-matrix LRU cleared vs. warm (the erasure-pattern cache win).
+* ``catalog.striped_ingest`` — ingest 1000 W1 objects into an RS system
+  with 256 KiB strips, then list every disk's degraded-read candidates:
+  the closed-form strip runs and the per-disk candidate index.  A return
+  to per-strip bookkeeping costs several times this spec's time, where
+  it moves the macro specs too little to clear the gate.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -182,6 +189,33 @@ def _decode_cached() -> int:
     return out
 
 
+# ----------------------------------------------------------------------
+# catalog (striped ingest)
+# ----------------------------------------------------------------------
+_N_STRIPED = 1_000
+
+
+@cache
+def _w1_sizes() -> np.ndarray:
+    from repro.experiments.common import sample_workload, setting_by_name
+
+    return sample_workload(setting_by_name("W1"), _N_STRIPED, 0)
+
+
+def _striped_ingest() -> int:
+    from repro.experiments.common import (
+        build_system,
+        cluster_config,
+        setting_by_name,
+    )
+
+    ws = setting_by_name("W1")
+    system = build_system("RS", ws, cluster_config(ws, _N_STRIPED))
+    system.ingest(_w1_sizes())
+    return sum(len(system.degraded_read_candidates(disk))
+               for disk in range(system.config.n_disks))
+
+
 def specs() -> list[BenchSpec]:
     """The micro suite (calibration first)."""
     return [
@@ -199,4 +233,6 @@ def specs() -> list[BenchSpec]:
                   units=_DECODES),
         BenchSpec("codec.decode_cached", "micro", _decode_cached,
                   units=_DECODES),
+        BenchSpec("catalog.striped_ingest", "micro", _striped_ingest,
+                  units=_N_STRIPED, repeats=5),
     ]
