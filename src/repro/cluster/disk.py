@@ -127,7 +127,7 @@ class Disk:
         self.pending_corrupt = 0
 
     def read(self, n_ios: int, nbytes: int, priority: int = FOREGROUND,
-             span: int | None = None):
+             span: int | None = None, req=None, served=None):
         """Process: queue for the disk and perform a (batched) read.
 
         Returns :data:`IO_OK`, or under fault injection :data:`IO_FAILED`
@@ -136,17 +136,23 @@ class Disk:
         request is held as a context manager, so a caller that abandons a
         queued read (hedged-retry timeout, :meth:`Process.interrupt`)
         cancels it rather than leaking the grant.
+
+        ``req`` and ``served`` resume a read that the busy warm-up kernel
+        (:mod:`repro.cluster.foreground`) left queued or in service: its
+        request, and for a read in service the event ending its service.
         """
         if self.failed:
             return IO_FAILED
-        with self.queue.request(priority) as req:
-            yield req
-            if self.failed:
-                return IO_FAILED
-            service = self.model.read_time(n_ios, nbytes, span)
-            if self.speed_factor != 1.0:
-                service *= self.speed_factor
-            yield self.env.timeout(service)
+        with (self.queue.request(priority) if req is None else req) as req:
+            if served is None:
+                yield req
+                if self.failed:
+                    return IO_FAILED
+                service = self.model.read_time(n_ios, nbytes, span)
+                if self.speed_factor != 1.0:
+                    service *= self.speed_factor
+                served = self.env.timeout(service)
+            yield served
         if self.failed:
             return IO_FAILED
         self.bytes_read += nbytes

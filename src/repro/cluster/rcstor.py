@@ -30,7 +30,11 @@ from repro.cluster.disk import (
     IO_OK,
     Disk,
 )
-from repro.cluster.foreground import start_foreground_load
+from repro.cluster.foreground import (
+    check_load,
+    start_foreground_load,
+    warm_up,
+)
 from repro.cluster.network import Fabric, Link, client_link
 from repro.cluster.profiles import HelperRead, ProfileCache, RepairProfile
 from repro.cluster.topology import Cluster, ClusterConfig, PlacementGroup
@@ -597,18 +601,14 @@ class RCStor:
         disk.bytes_read += nbytes
         disk.n_read_ios += n_ios
 
-    def measure_normal_reads(self, objects: list[StoredObject], busy: bool = False,
-                             seed: int = 0, warmup: float = 2.0) -> list[float]:
-        """Simulate normal reads; returns per-read seconds."""
-        rt = _Runtime(self.config, seed, self.obs,
+    def measure_normal_reads(self, objects: list[StoredObject]) -> list[float]:
+        """Simulate normal reads on the idle system; returns per-read
+        seconds."""
+        rt = _Runtime(self.config, 0, self.obs,
                       label=f"{self.name}/normal-reads")
-        if busy:
-            self._start_foreground_load(rt)
         times: list[float] = []
 
         def driver():
-            if busy:
-                yield rt.env.timeout(warmup)
             for obj in objects:
                 client = rt.client(self.config.client_gbps)
                 t0 = rt.env.now
@@ -935,10 +935,11 @@ class RCStor:
         """
         if ranges is not None and len(ranges) != len(objects):
             raise ValueError("need one byte range per object")
+        if busy:  # before the runtime registers a trace process
+            check_load(self.config.foreground_utilization,
+                       self.config.foreground_read_bytes, warmup)
         rt = _Runtime(self.config, seed, self.obs,
                       label=f"{self.name}/degraded-reads", faults=faults)
-        if busy:
-            self._start_foreground_load(rt)
         results: list[DegradedReadResult] = []
         # Timeline telemetry: handles hoisted out of the driver generator
         # (OBS601) and gated on an armed timeline so plain snapshots are
@@ -948,9 +949,9 @@ class RCStor:
             h_latency = rt.obs.metrics.histogram("degraded.read_latency")
             c_reads = rt.obs.metrics.counter("degraded.reads_completed")
 
-        def driver():
+        def driver(warmed=None):
             if busy:
-                yield rt.env.timeout(warmup)
+                yield rt.env.timeout(warmup) if warmed is None else warmed
             for idx, obj in enumerate(objects):
                 byte_range = ranges[idx] if ranges is not None else None
                 client = rt.client(self.config.client_gbps)
@@ -982,7 +983,14 @@ class RCStor:
                         size=obj.size, repair_s=result.repair_time,
                         transfer_s=result.transfer_time)
 
-        rt.env.run(rt.env.process(driver()))
+        if busy:
+            main = warm_up(rt.env, rt.disks, rt.rng, warmup, driver,
+                           utilization=self.config.foreground_utilization,
+                           mean_read_bytes=self.config.foreground_read_bytes,
+                           obs=rt.obs)
+        else:
+            main = rt.env.process(driver())
+        rt.env.run(main)
         rt.finalize()
         return results
 

@@ -382,6 +382,43 @@ class Environment:
             self._counted = self._seq
             self._resumes = 0
 
+    def _adopt(self, gen: Generator,
+               at: tuple[float, int] | None = None) -> Process:
+        """Adopt ``gen`` as a process already waiting on its first event.
+
+        The restore half of the busy warm-up kernel
+        (:mod:`repro.cluster.foreground`): a process whose earlier steps
+        were simulated as data resumes here exactly where the original
+        would.  ``gen`` is primed to its first ``yield``, which must yield
+        an event; the new process waits on it and joins the registry last.
+        With ``at=(when, seq)`` that event is placed, pre-triggered, at
+        this absolute queue position, so it pops where the original's
+        did.  Without, whoever owns the event triggers it (a request in a
+        resource's wait queue).
+
+        No start event is scheduled and no resume is counted: the caller
+        restores ``now``, ``_seq`` and ``_resumes`` to cover the steps
+        simulated elsewhere, so the native counters count them as if they
+        had run here.
+        """
+        process = Process.__new__(Process)
+        process.env = self
+        process.callbacks = []
+        process._value = None
+        process.triggered = False
+        process._queued = False
+        process._gen = gen
+        process._on_resume = self._on_resume
+        self._processes[process] = None
+        target = next(gen)
+        if at is not None:
+            target.triggered = True
+            target._queued = True
+            heapq.heappush(self._queue, (at[0], at[1], target))
+        target.callbacks.append(process._resume)
+        process._target = target
+        return process
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------

@@ -47,6 +47,16 @@ def test_foreground_load_validation():
                               utilization=1.5)
 
 
+def test_zero_read_size_is_rejected_when_armed():
+    """A zero mean read size used to arm fine and then divide by zero at
+    the first arrival."""
+    env = Environment()
+    with pytest.raises(ValueError, match="mean_read_bytes"):
+        start_foreground_load(env, _make_disks(env), np.random.default_rng(0),
+                              mean_read_bytes=0)
+    assert not env._processes and not env._queue and not env._ready
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**64 - 1),
        st.integers(min_value=1, max_value=200))
