@@ -23,6 +23,11 @@ pass touched, so a regression in the gate points at a subsystem, not at
   the closed-form strip runs and the per-disk candidate index.  A return
   to per-strip bookkeeping costs several times this spec's time, where
   it moves the macro specs too little to clear the gate.
+* ``foreground.warmup_kernel`` — the busy warm-up kernel itself (never a
+  memo hit): 16 SSDs at 50% utilization, 72 KiB reads, a 0.5 s warm-up,
+  W2's foreground shape.  The macro ``scenario.tradeoff`` is W1, whose
+  HDD warm-ups are ~3k events, so it cannot see the kernel slow down or
+  a fall back to the DES.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from functools import cache
 import numpy as np
 
 from repro.bench.harness import BenchSpec
+from repro.cluster import foreground
 from repro.cluster.codec import DecodeMatrixCache
+from repro.cluster.disk import SSD
 from repro.codes.rs import RSCode
 from repro.gf.matrix import cauchy_matrix, mat_inv, mat_mul, vandermonde
 from repro.gf.solve import GFLinearSystem
@@ -216,6 +223,19 @@ def _striped_ingest() -> int:
                for disk in range(system.config.n_disks))
 
 
+# ----------------------------------------------------------------------
+# foreground (busy warm-up kernel)
+# ----------------------------------------------------------------------
+#: Engine events the spec's warm-up covers.
+_WARMUP_EVENTS = 155_758
+
+
+def _warmup_kernel() -> int:
+    state = foreground._simulate(np.random.default_rng(0), (SSD,) * 16,
+                                 0.5, 72 * 1024, 1, 0.5)
+    return state.seq
+
+
 def specs() -> list[BenchSpec]:
     """The micro suite (calibration first)."""
     return [
@@ -235,4 +255,6 @@ def specs() -> list[BenchSpec]:
                   units=_DECODES),
         BenchSpec("catalog.striped_ingest", "micro", _striped_ingest,
                   units=_N_STRIPED, repeats=5),
+        BenchSpec("foreground.warmup_kernel", "micro", _warmup_kernel,
+                  units=_WARMUP_EVENTS),
     ]

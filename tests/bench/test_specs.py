@@ -31,6 +31,10 @@ def test_micro_engine_benchmarks_advance_the_clock():
     assert micro._process_churn() == 2.0 * micro._N_PROCS
 
 
+def test_micro_warmup_kernel_covers_its_events():
+    assert micro._warmup_kernel() == micro._WARMUP_EVENTS
+
+
 def test_micro_contention_reports_utilization():
     util = micro._contention()
     assert 0.0 < util <= 1.0
