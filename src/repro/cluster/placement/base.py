@@ -26,14 +26,21 @@ class PlacementPolicy(Protocol):
 
 
 def least_loaded_disk(config: ClusterConfig, node: int,
-                      load: list[int]) -> int:
+                      picks: list[int]) -> int:
     """The least-PG-loaded disk of ``node`` (lowest id on ties), with the
-    pick accounted into ``load`` — the per-node step every builder shares."""
-    first = node * config.disks_per_node
-    candidates = range(first, first + config.disks_per_node)
-    best = min(candidates, key=lambda d: (load[d], d))
-    load[best] += 1
-    return best
+    pick counted into ``picks[node]`` — the per-node step every builder
+    shares.
+
+    Every pick of every policy comes through here, one PG membership at a
+    time, so a node's disks gain load from nothing else.  From all-zero
+    loads the least-loaded, lowest-id disk is then always the next one
+    round robin: after ``c`` picks the loads differ by at most one, and
+    the disks still one short are exactly ``c % disks_per_node`` and up.
+    The node's pick count names the disk without scanning the node.
+    """
+    count = picks[node]
+    picks[node] = count + 1
+    return node * config.disks_per_node + count % config.disks_per_node
 
 
 def rotated(disks: list[int], pg_id: int, n: int) -> tuple[int, ...]:

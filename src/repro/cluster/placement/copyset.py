@@ -43,8 +43,8 @@ class CopysetPolicy:
             perm = [int(x) for x in rng.permutation(config.n_nodes)]
             pool.extend(perm[s * n:(s + 1) * n]
                         for s in range(sets_per_perm))
-        load = [0] * config.n_disks
+        picks = [0] * config.n_nodes
         for p in range(config.n_pgs):
             nodes = pool[p % len(pool)]
-            disks = [least_loaded_disk(config, node, load) for node in nodes]
+            disks = [least_loaded_disk(config, node, picks) for node in nodes]
             yield PlacementGroup(p, rotated(disks, p, n))

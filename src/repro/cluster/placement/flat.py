@@ -32,9 +32,9 @@ class FlatRandomPolicy:
 
         rng = np.random.default_rng(config.pg_seed)
         n = config.n
-        load = [0] * config.n_disks
+        picks = [0] * config.n_nodes
         for p in range(config.n_pgs):
             nodes = rng.permutation(config.n_nodes)[:n]
-            disks = [least_loaded_disk(config, int(node), load)
+            disks = [least_loaded_disk(config, int(node), picks)
                      for node in nodes]
             yield PlacementGroup(p, rotated(disks, p, n))

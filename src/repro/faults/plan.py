@@ -115,6 +115,27 @@ class FaultEvent:
         return cls(**doc)
 
 
+def _node_burst(node: int, disks_per_node: int, seed: int, at: float,
+                spread: float, kind: str, factor: float,
+                duration: float | None) -> list[FaultEvent]:
+    """The unsorted events of :meth:`FaultPlan.correlated_node_burst`."""
+    if kind not in ("disk_slow", "disk_crash"):
+        raise ValueError("burst kind must be disk_slow or disk_crash")
+    rng = np.random.default_rng(seed)
+    first = node * disks_per_node
+    events = []
+    for disk in range(first, first + disks_per_node):
+        jitter = float(rng.uniform(0.0, spread))
+        if kind == "disk_crash":
+            events.append(FaultEvent("disk_crash", at=at + jitter,
+                                     disk=disk))
+        else:
+            events.append(FaultEvent("disk_slow", at=at + jitter,
+                                     disk=disk, factor=factor,
+                                     duration=duration))
+    return events
+
+
 def _sort_key(ev: FaultEvent) -> tuple:
     # Timed events first (by time), then progress events (by fraction);
     # ties break on the event's canonical doc so order is deterministic.
@@ -263,21 +284,8 @@ class FaultPlan:
         """A same-node burst: every disk of ``node`` faults within
         ``spread`` seconds of ``at`` (the Facebook-study correlated mode).
         """
-        if kind not in ("disk_slow", "disk_crash"):
-            raise ValueError("burst kind must be disk_slow or disk_crash")
-        rng = np.random.default_rng(seed)
-        first = node * disks_per_node
-        events = []
-        for disk in range(first, first + disks_per_node):
-            jitter = float(rng.uniform(0.0, spread))
-            if kind == "disk_crash":
-                events.append(FaultEvent("disk_crash", at=at + jitter,
-                                         disk=disk))
-            else:
-                events.append(FaultEvent("disk_slow", at=at + jitter,
-                                         disk=disk, factor=factor,
-                                         duration=duration))
-        return cls(events=tuple(events))
+        return cls(events=tuple(_node_burst(
+            node, disks_per_node, seed, at, spread, kind, factor, duration)))
 
     # ------------------------------------------------------------------
     # Rack-scoped constructors (need a tiered fabric, n_racks > 1)
@@ -305,13 +313,13 @@ class FaultPlan:
         seconds of ``at`` — the correlated mode a shared power or switch
         domain produces.  Composes :meth:`correlated_node_burst` per node
         with derived per-node seeds, so a rack burst is bit-identical to
-        its per-node bursts replayed together."""
-        plan = cls()
+        its per-node bursts replayed together; the events are sorted once,
+        for the whole rack."""
+        events: list[FaultEvent] = []
         for i, node in enumerate(nodes):
-            plan = plan.extended(cls.correlated_node_burst(
-                int(node), disks_per_node, seed + i, at, spread=spread,
-                kind=kind, factor=factor, duration=duration).events)
-        return plan
+            events += _node_burst(int(node), disks_per_node, seed + i, at,
+                                  spread, kind, factor, duration)
+        return cls(events=tuple(events))
 
     # ------------------------------------------------------------------
     # Latent-error / scrub constructors (the durability model's inputs)

@@ -1,9 +1,13 @@
 """Placement-policy tests: registry, flat_random invariants, rack_aware
 span packing, copyset pool reuse."""
 
+import re
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig, get_policy, policy_names
 from repro.cluster.placement import POLICIES
@@ -184,3 +188,61 @@ def test_least_loaded_disk_prefers_cold_disks():
     assert config.node_of(first) == 3
     second = least_loaded_disk(config, 3, load)
     assert second != first  # the first pick is now warmer
+
+
+def min_scan_pick(config: ClusterConfig, node: int, load: list[int]) -> int:
+    """The reference pick: scan the node's disks for the least PG-loaded
+    one, lowest id on ties, and account the pick into per-disk ``load``."""
+    first = node * config.disks_per_node
+    candidates = range(first, first + config.disks_per_node)
+    best = min(candidates, key=lambda d: (load[d], d))
+    load[best] += 1
+    return best
+
+
+def pgs_by_min_scan(config: ClusterConfig) -> list[tuple[int, ...]]:
+    """``config``'s PGs with every pick made by :func:`min_scan_pick`.
+    The policy's per-node pick counts are still kept, since
+    ``rack_aware`` orders nodes by them."""
+    load = [0] * config.n_disks
+
+    def pick(config, node, picks):
+        picks[node] += 1
+        return min_scan_pick(config, node, load)
+
+    with mock.patch.multiple("repro.cluster.placement.flat",
+                             least_loaded_disk=pick), \
+            mock.patch.multiple("repro.cluster.placement.rack_aware",
+                                least_loaded_disk=pick), \
+            mock.patch.multiple("repro.cluster.placement.copyset",
+                                least_loaded_disk=pick):
+        return [pg.disk_ids for pg in get_policy(
+            config.placement).build_pgs(config)]
+
+
+@st.composite
+def cluster_shapes(draw) -> ClusterConfig:
+    k = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 4))
+    n_nodes = draw(st.integers(k + r, 3 * (k + r)))
+    n_racks = draw(st.integers(1, min(n_nodes, 6)))
+    return ClusterConfig(
+        n_nodes=n_nodes, disks_per_node=draw(st.integers(1, 7)), k=k, r=r,
+        n_racks=n_racks, n_pgs=draw(st.integers(1, 80)),
+        placement=draw(st.sampled_from(sorted(POLICIES))),
+        pg_seed=draw(st.integers(0, 2**31 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=cluster_shapes())
+def test_round_robin_pick_equals_the_min_scan(config):
+    """Every pick of every policy goes through ``least_loaded_disk``, so
+    its round robin over a node's disks picks what scanning for the
+    least-loaded disk picks: the same PGs, for every policy and shape."""
+    try:
+        want = pgs_by_min_scan(config)
+    except ValueError as exc:       # rack_aware: the stripe cannot fit
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            list(get_policy(config.placement).build_pgs(config))
+        return
+    assert [pg.disk_ids for pg in Cluster(config).pgs] == want
