@@ -16,7 +16,6 @@ from repro.cluster.codec import DEFAULT_CODEC, CodecModel, DecodeMatrixCache
 from repro.cluster.disk import BACKGROUND, FOREGROUND, HDD, SSD, Disk, DiskModel
 from repro.cluster.foreground import start_foreground_load
 from repro.cluster.ingestion import measure_puts, run_batch_export
-from repro.cluster.memory import MemoryPool
 from repro.cluster.metadata import IndexRecord, PGIndex, build_indexes
 from repro.cluster.network import GBPS, Fabric, Link, Nic, client_link
 from repro.cluster.placement import (
@@ -44,7 +43,6 @@ __all__ = [
     "start_foreground_load",
     "measure_puts",
     "run_batch_export",
-    "MemoryPool",
     "IndexRecord",
     "PGIndex",
     "build_indexes",

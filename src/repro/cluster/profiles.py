@@ -75,8 +75,11 @@ class ProfileCache:
         alpha = self.code.alpha
         return max(alpha, -(-chunk_size // alpha) * alpha)
 
-    def get(self, failed_role: int, chunk_size: int) -> RepairProfile:
-        """Profile for (failed role, chunk size), building it on first use."""
+    def get(self, failed_role: int, chunk_size: int,
+            inv=None) -> RepairProfile:
+        """Profile for (failed role, chunk size), building it on first use;
+        byte-conservation-checked by ``inv``, an
+        :class:`~repro.analysis.InvariantChecker` (or ``None``)."""
         rounded = self._rounded_chunk(chunk_size)
         key = (failed_role, rounded)
         if key not in self._cache:
@@ -90,4 +93,24 @@ class ProfileCache:
             helpers = tuple(HelperRead(node, ios[node], per_node[node], spans[node])
                             for node in sorted(per_node))
             self._cache[key] = RepairProfile(failed_role, rounded, helpers, rounded)
-        return self._cache[key]
+        profile = self._cache[key]
+        if inv is not None:
+            inv.check_repair_profile(self.code, profile)
+        return profile
+
+    def batch(self, failed_role: int, sizes, inv=None) -> RepairProfile:
+        """One profile repairing chunks of ``sizes`` together: each helper
+        role's I/O count, bytes and span summed over the chunks' profiles
+        (a striped degraded read's missing strips, rebuilt in one pass)."""
+        per_role: dict[int, list[int]] = {}
+        for size in sizes:
+            for h in self.get(failed_role, size, inv).helpers:
+                acc = per_role.setdefault(h.role, [0, 0, 0])
+                acc[0] += h.n_ios
+                acc[1] += h.nbytes
+                acc[2] += h.span
+        total = sum(sizes)
+        return RepairProfile(
+            failed_role, total,
+            tuple(HelperRead(role, *acc) for role, acc in per_role.items()),
+            total)

@@ -22,12 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.disk import BACKGROUND, FOREGROUND
-from repro.cluster.rcstor import (
-    DegradedReadResult,
-    RCStor,
-    RecoveryReport,
-    _Runtime,
-)
+from repro.cluster.rcstor import RCStor, RecoveryReport, _Runtime
 
 #: Tenant lanes map directly onto the per-disk priority queues.
 LANES = (FOREGROUND, BACKGROUND)
@@ -116,22 +111,18 @@ def serve_open_loop(system: RCStor, objects, times, tenant_ids, object_ids,
     def serve_one(i: int):
         obj = objects[int(object_ids[i])]
         label, lane, hedge_ok = tenants[int(tenant_ids[i])]
-        client = rt.client(system.config.client_gbps)
         t0 = env.now
         is_degraded = failed_disk is not None \
             and obj.object_id in degraded_ids
         if is_degraded:
-            result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
-            hedge = hedge_s if hedge_ok else None
-            failed_role = system.cluster.pgs[obj.pg_id].role_of(failed_disk)
-            yield env.process(system._degraded_read_proc(
-                rt, obj, failed_role, client, result, priority=lane,
-                hedge_s=hedge))
+            result = yield from system._degraded_read(
+                rt, obj, system.cluster.pgs[obj.pg_id].role_of(failed_disk),
+                priority=lane, hedge_s=hedge_s if hedge_ok else None)
             report.hedges_fired += result.hedges_fired
             report.hedge_wins += result.hedge_wins
         else:
-            yield env.process(system._normal_read_proc(rt, obj, client,
-                                                       priority=lane))
+            yield env.process(system._normal_read_proc(
+                rt, obj, rt.client(system.config.client_gbps), priority=lane))
         elapsed = env.now - t0
         report.latencies[label].append(elapsed)
         if is_degraded:

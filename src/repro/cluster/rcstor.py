@@ -254,15 +254,6 @@ class RCStor:
             return self.codec.decode_time(output_bytes)
         return self.codec.regenerate_time(output_bytes)
 
-    def _profile(self, cache: ProfileCache, failed_role: int, size: int,
-                 inv=None) -> RepairProfile:
-        """Fetch a repair profile, byte-conservation-checked when the
-        runtime carries an :class:`~repro.analysis.InvariantChecker`."""
-        profile = cache.get(failed_role, size)
-        if inv is not None:
-            inv.check_repair_profile(cache.code, profile)
-        return profile
-
     def _start_foreground_load(self, rt: _Runtime) -> None:
         """Arm the closed-loop foreground load of a busy measurement."""
         start_foreground_load(
@@ -663,34 +654,68 @@ class RCStor:
         members = sorted({node_of(d) for d in pg.disk_ids})
         return members[node % len(members)]
 
-    def _helper_sources(self, rt: _Runtime, pg: PlacementGroup,
-                        profile: RepairProfile):
-        """Per-helper ``(node, nbytes)`` gather legs for a tiered fabric.
-
-        ``None`` on a flat fabric — legs are never built there, so the
-        gather degenerates to the historical destination-NIC transfer and
-        stays byte-identical to the pre-fabric model.
-        """
-        if not rt.fabric.tiered:
-            return None
+    def _helper_sources(self, pg: PlacementGroup, profile: RepairProfile):
+        """Per-helper ``(node, nbytes)`` gather legs (a flat fabric's
+        :meth:`~repro.cluster.network.Fabric.gather` ignores them)."""
         node_of = self.config.node_of
         return [(node_of(pg.disk_ids[h.role]), h.nbytes)
                 for h in profile.helpers]
 
-    def _degraded_read_proc(self, rt: _Runtime, obj: StoredObject,
-                            failed_role: int | None, client: Link,
-                            result: DegradedReadResult,
-                            byte_range: tuple[int, int] | None = None,
-                            priority: int = FOREGROUND,
-                            hedge_s: float | None = None):
-        """The degraded-read process for this layout; ``failed_role``
-        matters only to striped layouts (others lose the object's chunk)."""
-        if self.layout.spans_disks:
-            return self._degraded_striped_proc(rt, obj, failed_role, client,
-                                               result, byte_range, priority,
-                                               hedge_s)
-        return self._degraded_single_disk_proc(rt, obj, client, result,
-                                               byte_range, priority, hedge_s)
+    def _degraded_read(self, rt: _Runtime, obj: StoredObject,
+                       failed_role: int | None,
+                       byte_range: tuple[int, int] | None = None,
+                       priority: int = FOREGROUND,
+                       hedge_s: float | None = None):
+        """Sub-generator: one degraded read over a fresh client link.
+
+        Runs this layout's degraded-read process and returns its
+        :class:`DegradedReadResult`.  ``failed_role`` matters only to
+        striped layouts (others lose the object's chunk).
+        """
+        env = rt.env
+        result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
+        args = (rt.client(self.config.client_gbps), result, byte_range,
+                priority, hedge_s)
+        t0 = env.now
+        yield env.process(
+            self._degraded_striped_proc(rt, obj, failed_role, *args)
+            if self.layout.spans_disks
+            else self._degraded_single_disk_proc(rt, obj, *args))
+        result.total_time = env.now - t0
+        return result
+
+    def _repair_step(self, rt: _Runtime, pg: PlacementGroup,
+                     profile: RepairProfile, is_rs: bool, server_node: int,
+                     priority: int, hedge_s: float | None, stats: dict,
+                     **span_args):
+        """Sub-generator: one degraded-read repair — the helper-read step,
+        then :meth:`_repair_tail` on the read set that landed."""
+        t_read = rt.env.now
+        profile, is_rs, _ = yield from self._read_helpers(
+            rt, pg, profile, is_rs, priority, hedge_s, stats)
+        yield from self._repair_tail(
+            rt, "repair", t_read, server_node, profile.total_read_bytes,
+            self._helper_sources(pg, profile), profile.output_bytes, is_rs,
+            not self.ecpipe, **span_args)
+
+    @staticmethod
+    def _transfer(rt: _Runtime, client: Link, result: DegradedReadResult,
+                  parts):
+        """Process: stream a degraded read to the client, consuming
+        ``parts`` lazily as ``(index, nbytes, gate)``; a part waits on its
+        gate event (``None``: it goes at once), so one part's transfer
+        overlaps the next part's repair (Figure 8)."""
+        env = rt.env
+        t_busy = 0.0
+        for i, nbytes, gate in parts:
+            if gate is not None:
+                yield gate
+            t0 = env.now
+            yield env.process(client.transfer(nbytes))
+            t_busy += env.now - t0
+            rt.span("transfer", "transfer", t0, env.now,
+                    chunk=i, nbytes=nbytes)
+        result.transfer_time = t_busy
 
     def _degraded_single_disk_proc(self, rt: _Runtime, obj: StoredObject,
                                    client: Link, result: DegradedReadResult,
@@ -723,35 +748,19 @@ class RCStor:
                 # chunks must repair the whole chunk and discard.
                 size = overlap if is_rs else chunk.stored_bytes
                 cache = self.rs_profiles if is_rs else self.profiles
-                profile = self._profile(cache, failed_role, size,
-                                        rt.invariants)
-                t_read = env.now
-                profile, is_rs, _ = yield from self._read_helpers(
-                    rt, pg, profile, is_rs, priority, hedge_s, stats)
-                yield from self._repair_tail(
-                    rt, "repair", t_read, server_node,
-                    profile.total_read_bytes,
-                    self._helper_sources(rt, pg, profile),
-                    profile.output_bytes, is_rs, not self.ecpipe, chunk=i)
+                yield from self._repair_step(
+                    rt, pg, cache.get(failed_role, size, rt.invariants),
+                    is_rs, server_node, priority, hedge_s, stats, chunk=i)
                 ready[i].succeed()
             result.repair_time = env.now - t0
             result.hedges_fired += stats["hedges_fired"]
             result.hedge_wins += stats["hedge_wins"]
             rt.span("repair", "repair", t0, env.now, chunks=len(chunks))
 
-        def transfer_proc():
-            t_busy = 0.0
-            for i, (chunk, overlap) in enumerate(chunks):
-                yield ready[i]
-                t0 = env.now
-                yield env.process(client.transfer(overlap))
-                t_busy += env.now - t0
-                rt.span("transfer", "transfer", t0, env.now,
-                        chunk=i, nbytes=overlap)
-            result.transfer_time = t_busy
-
         env.process(repair_proc())
-        yield env.process(transfer_proc())
+        yield env.process(self._transfer(
+            rt, client, result,
+            ((i, overlap, ready[i]) for i, (_, overlap) in enumerate(chunks))))
 
     def _degraded_striped_proc(self, rt: _Runtime, obj: StoredObject,
                                failed_role: int, client: Link,
@@ -799,39 +808,22 @@ class RCStor:
 
         def repair_proc():
             t0 = env.now
-            if missing:
-                t_read = env.now
-                decode_rs = False
-                if self._scalar_rebuild:
-                    nbytes, sources = yield from self._scalar_row_reads(
-                        rt, pg, failed_role, per_role, available_done,
-                        missing_bytes, priority, hedge_s, stats)
-                else:
-                    # Regenerating code: batched sub-chunk reads from d
-                    # helpers, aggregated into one synthetic profile so the
-                    # ladder can re-pick / escalate / hedge it whole.
-                    batch: dict[int, list[int]] = {}
-                    for chunk in missing:
-                        prof = self._profile(self.profiles, failed_role,
-                                             chunk.stored_bytes,
-                                             rt.invariants)
-                        for h in prof.helpers:
-                            acc = batch.setdefault(h.role, [0, 0, 0])
-                            acc[0] += h.n_ios
-                            acc[1] += h.nbytes
-                            acc[2] += h.span
-                    profile = RepairProfile(
-                        failed_role, missing_bytes,
-                        tuple(HelperRead(role, ios, nbytes, span)
-                              for role, (ios, nbytes, span) in batch.items()),
-                        missing_bytes)
-                    profile, decode_rs, _ = yield from self._read_helpers(
-                        rt, pg, profile, False, priority, hedge_s, stats)
-                    nbytes = profile.total_read_bytes
-                    sources = self._helper_sources(rt, pg, profile)
+            if missing and self._scalar_rebuild:
+                sources = yield from self._scalar_row_reads(
+                    rt, pg, failed_role, per_role, available_done,
+                    missing_bytes, priority, hedge_s, stats)
                 yield from self._repair_tail(
-                    rt, "repair", t_read, server_node, nbytes, sources,
-                    missing_bytes, decode_rs, not self.ecpipe)
+                    rt, "repair", t0, server_node, missing_bytes, sources,
+                    missing_bytes, False, not self.ecpipe)
+            elif missing:
+                # Regenerating code: the missing strips' sub-chunk reads as
+                # one batched profile, so the ladder can re-pick / escalate
+                # / hedge it whole.
+                yield from self._repair_step(
+                    rt, pg, self.profiles.batch(
+                        failed_role, [c.stored_bytes for c in missing],
+                        rt.invariants),
+                    False, server_node, priority, hedge_s, stats)
             repaired.succeed()
             result.repair_time = env.now - t0
             result.hedges_fired += stats["hedges_fired"]
@@ -839,24 +831,18 @@ class RCStor:
             rt.span("repair", "repair", t0, env.now,
                     missing_bytes=missing_bytes)
 
-        def transfer_proc():
-            t_busy = 0.0
-            for i, (chunk, overlap) in enumerate(chunks):
-                if overlap == 0:
-                    continue
-                if chunk.needs_repair:
-                    yield repaired
-                elif not available_done[chunk.disk_index].triggered:
-                    yield available_done[chunk.disk_index]
-                t0 = env.now
-                yield env.process(client.transfer(overlap))
-                t_busy += env.now - t0
-                rt.span("transfer", "transfer", t0, env.now,
-                        chunk=i, nbytes=overlap)
-            result.transfer_time = t_busy
+        def gate(chunk):
+            if chunk.needs_repair:
+                return repaired
+            # A surviving strip waits on its read only while it runs.
+            read = available_done[chunk.disk_index]
+            return None if read.triggered else read
 
         env.process(repair_proc())
-        yield env.process(transfer_proc())
+        yield env.process(self._transfer(
+            rt, client, result,
+            ((i, overlap, gate(chunk))
+             for i, (chunk, overlap) in enumerate(chunks) if overlap)))
 
     def _scalar_row_reads(self, rt: _Runtime, pg: PlacementGroup,
                           failed_role: int, per_role: dict[int, int],
@@ -869,7 +855,8 @@ class RCStor:
         covering the failed disk's share.  With ``hedge_s`` the set races
         a fan-out on the spare roles (:meth:`_fanout_race`).  A strip read
         that hit a crashed disk or corruption falls to MDS row decode from
-        any k live strips.  Returns the tail's ``(nbytes, sources)``.
+        any k live strips.  Returns the gather legs: the surviving strips
+        plus the row-parity strip, hauled to the repair server.
         """
         k = self.config.k
         parity = [k]
@@ -897,19 +884,54 @@ class RCStor:
                 raise self._unrecoverable()
             yield from self._read_helpers(rt, pg, decode, True, priority,
                                           None, stats)
-        sources = None
-        if rt.fabric.tiered:
-            # Scalar row rebuild hauls the surviving strips plus the
-            # row-parity strip to the repair server.
-            node_of = self.config.node_of
-            sources = [(node_of(pg.disk_ids[role]), nbytes)
-                       for role, nbytes in per_role.items()]
-            sources.append((node_of(pg.disk_ids[k]), missing_bytes))
-        return missing_bytes, sources
+        node_of = self.config.node_of
+        return [(node_of(pg.disk_ids[role]), nbytes)
+                for role, nbytes in [*per_role.items(), (k, missing_bytes)]]
 
     def degraded_read_candidates(self, failed_disk: int) -> list[StoredObject]:
         """Objects rendered (partially) unavailable by a disk failure."""
         return self.catalog.objects_on_disk(failed_disk)
+
+    def _degraded_reads(self, rt: _Runtime, objects: list[StoredObject],
+                        failed_disk: int | None,
+                        ranges: list[tuple[int, int]] | None = None,
+                        h_latency=None, c_reads=None):
+        """Sub-generator: degraded reads of ``objects``, one at a time;
+        returns their results.
+
+        A single-disk layout always loses the object's own chunk.  A
+        striped one fails the role of ``failed_disk``; with
+        ``failed_disk=None`` it fails the first strip a ranged read
+        overlaps, else rotates over the data roles.  ``h_latency`` /
+        ``c_reads`` are pre-bound timeline handles (OBS601), or ``None``.
+        """
+        env = rt.env
+        striped = self.layout.spans_disks
+        results = []
+        for idx, obj in enumerate(objects):
+            byte_range = ranges[idx] if ranges is not None else None
+            failed_role = idx % self.config.k
+            if striped and failed_disk is not None:
+                failed_role = self.cluster.pgs[obj.pg_id].role_of(failed_disk)
+            elif striped and byte_range is not None:
+                # A ranged read is only degraded if it touches the failed
+                # strip: fail the first strip it overlaps.
+                probe = self.catalog.placement_of(obj, 0)
+                overlaps = self._overlaps(probe.chunks, byte_range)
+                failed_role = next((c.disk_index for c, n in
+                                    zip(probe.chunks, overlaps) if n > 0),
+                                   failed_role)
+            t0 = env.now
+            result = yield from self._degraded_read(rt, obj, failed_role,
+                                                    byte_range)
+            results.append(result)
+            if h_latency is not None:
+                c_reads.inc()
+                h_latency.observe(result.total_time)
+            rt.span("degraded_read", "degraded-reads", t0, env.now,
+                    size=obj.size, repair_s=result.repair_time,
+                    transfer_s=result.transfer_time)
+        return results
 
     def measure_degraded_reads(self, objects: list[StoredObject],
                                failed_disk: int | None,
@@ -940,7 +962,6 @@ class RCStor:
                        self.config.foreground_read_bytes, warmup)
         rt = _Runtime(self.config, seed, self.obs,
                       label=f"{self.name}/degraded-reads", faults=faults)
-        results: list[DegradedReadResult] = []
         # Timeline telemetry: handles hoisted out of the driver generator
         # (OBS601) and gated on an armed timeline so plain snapshots are
         # unchanged.
@@ -952,36 +973,8 @@ class RCStor:
         def driver(warmed=None):
             if busy:
                 yield rt.env.timeout(warmup) if warmed is None else warmed
-            for idx, obj in enumerate(objects):
-                byte_range = ranges[idx] if ranges is not None else None
-                client = rt.client(self.config.client_gbps)
-                result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
-                t0 = rt.env.now
-                # Striped layouts fail one strip role; a single-disk
-                # layout always loses the object's own chunk.
-                failed_role = idx % self.config.k
-                striped = self.layout.spans_disks
-                if striped and failed_disk is not None:
-                    failed_role = self.cluster.pgs[obj.pg_id].role_of(
-                        failed_disk)
-                elif striped and byte_range is not None:
-                    # A ranged read is only degraded if it touches the
-                    # failed strip: fail the first strip it overlaps.
-                    probe = self.catalog.placement_of(obj, 0)
-                    overlaps = self._overlaps(probe.chunks, byte_range)
-                    failed_role = next((c.disk_index for c, n in
-                                        zip(probe.chunks, overlaps) if n > 0),
-                                       failed_role)
-                yield rt.env.process(self._degraded_read_proc(
-                    rt, obj, failed_role, client, result, byte_range))
-                result.total_time = rt.env.now - t0
-                results.append(result)
-                if h_latency is not None:
-                    c_reads.inc()
-                    h_latency.observe(result.total_time)
-                rt.span("degraded_read", "degraded-reads", t0, rt.env.now,
-                        size=obj.size, repair_s=result.repair_time,
-                        transfer_s=result.transfer_time)
+            return (yield from self._degraded_reads(
+                rt, objects, failed_disk, ranges, h_latency, c_reads))
 
         if busy:
             main = warm_up(rt.env, rt.disks, rt.rng, warmup, driver,
@@ -990,7 +983,7 @@ class RCStor:
                            obs=rt.obs)
         else:
             main = rt.env.process(driver())
-        rt.env.run(main)
+        results = rt.env.run(main)
         rt.finalize()
         return results
 
@@ -1086,51 +1079,6 @@ class RCStor:
         return self._recover(range(first, first + self.config.disks_per_node),
                              "node-recovery", seed, faults)
 
-    def _build_multi_failure_tasks(self, failed_disks: list[int],
-                                   inv=None) -> list[_RecoveryTask]:
-        """Tasks for PGs hit by more than one failure (§2.2).
-
-        Multi-erasure repair cannot use the regenerating sub-chunk trick:
-        Clay's decode needs the *full* chunks of every survivor, and scalar
-        MDS codes need any k full chunks.  Single-failure PGs still use the
-        optimal single-node profiles.
-        """
-        failed = set(failed_disks)
-        tasks: list[_RecoveryTask] = []
-        unit = self.config.recovery_weight_unit
-        batch_target = 4 * MB
-        k = self.config.k
-        for disk in failed_disks:
-            for pg, role, chunks, small in self.catalog.recovery_inventory(disk):
-                pg_failed_roles = self._failed_roles(pg, failed)
-                if len(pg_failed_roles) <= 1:
-                    continue  # handled by the single-failure path
-                # The outer loop visits this PG once per failed disk it
-                # holds; each visit rebuilds that disk's own buckets.
-                survivors = [r for r in range(self.config.n)
-                             if r not in pg_failed_roles]
-                # Clay decode reads every survivor; scalar codes any k.
-                helper_roles = (survivors[:k] if self._scalar_rebuild
-                                else survivors)
-                pieces = []
-                for size, count in sorted(chunks.items()):
-                    per_batch = max(1, batch_target // size)
-                    pieces += [(size * min(per_batch, count - done),
-                                helper_roles)
-                               for done in range(0, count, per_batch)]
-                if small:
-                    pieces.append((small, survivors[:k]))
-                for total, roles in pieces:
-                    profile = RepairProfile(
-                        role, total,
-                        tuple(HelperRead(r, 1, total, total) for r in roles),
-                        total)
-                    if inv is not None:
-                        inv.check_decode_profile(profile, len(roles))
-                    tasks.append(_RecoveryTask(
-                        pg, profile, max(1, round(total / unit)), is_rs=True))
-        return tasks
-
     def run_multi_failure_recovery(self, failed_disks: list[int],
                                    seed: int = 0,
                                    faults: FaultPlan | None = None
@@ -1138,9 +1086,10 @@ class RCStor:
         """Recover several concurrently failed disks.
 
         PGs that lost one disk recover with the optimal single-failure
-        plans; PGs that lost several fall back to full MDS decode (the
-        dominant-cost case the paper notes is rare — >98% of failures are
-        single).
+        plans; tasks of PGs that lost several take one fault-ladder step
+        (:meth:`_replan`), down to decode from k whole chunks for a
+        regenerating code (the dominant-cost case the paper notes is rare
+        — >98% of failures are single).
         """
         failed = set(failed_disks)
         if len(failed) < 1:
@@ -1166,6 +1115,22 @@ class RCStor:
         rt.env.run(done)
         return self._finish_recovery(rt, meta, rt.env.now - start)
 
+    def _replan(self, rt: _Runtime, task: _RecoveryTask, failed_disks,
+                rotation: int) -> _RecoveryTask:
+        """One fault-ladder step for a queued recovery task: ``task`` as is
+        while its helpers are live or its PG is lost (the runner then
+        abandons it), else on :meth:`_fallback_profile`'s next rung —
+        helpers re-picked by ``rotation``, or decode from k whole chunks."""
+        failed_roles = self._failed_roles(task.pg, failed_disks,
+                                          task.profile.failed_role)
+        if not any(h.role in failed_roles for h in task.profile.helpers):
+            return task
+        profile, is_rs = self._fallback_profile(
+            task.profile, task.is_rs, failed_roles, rotation, rt.invariants)
+        if profile is None:
+            return task
+        return replace(task, profile=profile, is_rs=is_rs)
+
     def _run_task(self, rt: _Runtime, task: _RecoveryTask, server_node: int,
                   priority: int, failed_disks: set[int], pick_replacement,
                   meta):
@@ -1189,7 +1154,7 @@ class RCStor:
         yield from self._repair_tail(
             rt, track, t_task, self._gather_node(rt, task.pg, server_node),
             profile.total_read_bytes,
-            self._helper_sources(rt, task.pg, profile),
+            self._helper_sources(task.pg, profile),
             profile.output_bytes, is_rs)
         dest = pick_replacement(task.pg)
         t_write = env.now
@@ -1207,6 +1172,24 @@ class RCStor:
                 weight=task.weight, nbytes=profile.output_bytes)
         return ("done", None)
 
+    def _plan_recovery(self, rt: _Runtime, failed_disks) -> deque:
+        """The initial recovery queue: each failed disk's single-failure
+        plans, in the given order.  With several failed disks every task
+        then takes one :meth:`_replan` step, so a PG that lost several
+        chunks is planned as a mid-recovery crash would re-plan it (not
+        counted as an escalation).  A repeated disk counts once; a disk
+        outside the cluster raises :class:`ValueError`."""
+        order = list(dict.fromkeys(failed_disks))
+        for disk in order:
+            if not 0 <= disk < self.config.n_disks:
+                raise ValueError(f"disk {disk} out of range")
+        tasks = [task for disk in order
+                 for task in self._build_recovery_tasks(disk, rt.invariants)]
+        if len(order) > 1:
+            tasks = [self._replan(rt, task, order, i + 1)
+                     for i, task in enumerate(tasks)]
+        return deque(tasks)
+
     def _start_recovery(self, rt: _Runtime, failed_disks,
                         priority: int = BACKGROUND,
                         weight_limit: int | None = None):
@@ -1215,31 +1198,15 @@ class RCStor:
         servers.  Returns ``(all_servers_done_event, meta)`` where meta
         carries the task count and repaired byte total.
 
-        PGs that lost one disk recover with the optimal single-failure
-        plans; PGs that lost several fall back to full MDS decode
-        (:meth:`_build_multi_failure_tasks`).  A repeated disk counts
-        once; a disk outside the cluster raises :class:`ValueError`.
-
-        Each task runs :meth:`_run_task`.  A disk crash from the
-        runtime's fault injector escalates affected queued tasks in place
-        (the multi-failure path's full decode), and completed weight
-        drives the injector's progress-triggered events.  Without a fault
-        plan the injector holds no events, so neither ever happens.
+        The queue is :meth:`_plan_recovery`'s.  Each task runs
+        :meth:`_run_task`.  A disk crash from the runtime's fault injector
+        re-plans affected queued tasks in place (escalations count), and
+        completed weight drives the injector's progress-triggered events.
+        Without a fault plan the injector holds no events, so neither ever
+        happens.
         """
-        order = list(dict.fromkeys(failed_disks))
-        for disk in order:
-            if not 0 <= disk < self.config.n_disks:
-                raise ValueError(f"disk {disk} out of range")
-        failed_disks = set(order)
-        tasks: deque = deque()
-        for disk in order:
-            # Single-failure plans, for PGs no other failed disk shares.
-            tasks.extend(
-                t for t in self._build_recovery_tasks(disk, rt.invariants)
-                if not any(d != disk and d in t.pg for d in failed_disks))
-        if len(failed_disks) > 1:
-            tasks.extend(self._build_multi_failure_tasks(
-                sorted(failed_disks), rt.invariants))
+        tasks = self._plan_recovery(rt, failed_disks)
+        failed_disks = set(failed_disks)
         env = rt.env
         faults = rt.faults
         meta = {"n_tasks": len(tasks),
@@ -1273,26 +1240,15 @@ class RCStor:
         failed_disks |= faults.failed_disks
 
         def on_crash(disk_id: int) -> None:
-            # Second failure mid-recovery: escalate affected queued tasks
-            # to the multi-failure path (full MDS decode / re-picked
-            # helpers); running tasks handle it inline.
+            # Second failure mid-recovery: affected queued tasks take one
+            # ladder step; running tasks handle it inline.
             failed_disks.add(disk_id)
             for i in range(len(tasks)):
-                t = tasks[i]
-                if disk_id not in t.pg:
-                    continue
-                failed_roles = self._failed_roles(t.pg, failed_disks,
-                                                  t.profile.failed_role)
-                if not any(h.role in failed_roles
-                           for h in t.profile.helpers):
-                    continue
-                new_profile, new_rs = self._fallback_profile(
-                    t.profile, t.is_rs, failed_roles, i + 1, rt.invariants)
-                if new_profile is None:
-                    continue  # the runner will abandon it
-                tasks[i] = replace(t, profile=new_profile, is_rs=new_rs)
-                if new_rs and not t.is_rs:
-                    self._count_escalation(rt, meta)
+                task = tasks[i]
+                if disk_id in task.pg:
+                    tasks[i] = self._replan(rt, task, failed_disks, i + 1)
+                    if tasks[i].is_rs and not task.is_rs:
+                        self._count_escalation(rt, meta)
 
         faults.on_disk_failure(on_crash)
 
@@ -1391,23 +1347,7 @@ class RCStor:
         env = rt.env
         recovery_done, meta = self._start_recovery(rt, [failed_disk],
                                                    priority=recovery_priority)
-        results: list[DegradedReadResult] = []
-
-        def reader():
-            for idx, obj in enumerate(objects):
-                client = rt.client(self.config.client_gbps)
-                result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
-                t0 = env.now
-                yield env.process(self._degraded_read_proc(
-                    rt, obj, idx % self.config.k, client, result))
-                result.total_time = env.now - t0
-                results.append(result)
-                rt.span("degraded_read", "degraded-reads", t0, env.now,
-                        size=obj.size, repair_s=result.repair_time,
-                        transfer_s=result.transfer_time)
-
         start = env.now
-        reads = env.process(reader())
+        reads = env.process(self._degraded_reads(rt, objects, failed_disk))
         env.run(env.all_of([recovery_done, reads]))
-        report = self._finish_recovery(rt, meta, env.now - start)
-        return results, report
+        return reads.value, self._finish_recovery(rt, meta, env.now - start)

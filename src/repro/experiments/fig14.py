@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.partitioning import GeometricPartitioner
+from repro.core.tuning import evaluate_candidate
 from repro.experiments.common import (
     W1_SETTING,
     WorkloadSetting,
@@ -29,24 +29,16 @@ class QPoint:
     average_chunk_size: float
 
 
-def average_chunk_size(sizes, s0: int, q: int, max_chunk_size: int) -> float:
-    """Mean regenerating-code chunk size (bytes)."""
-    partitioner = GeometricPartitioner(s0, q, max_chunk_size)
-    total = chunks = 0
-    for size in sizes:
-        part = partitioner.partition(int(size))
-        total += part.partitioned_bytes
-        chunks += part.n_chunks
-    return total / chunks if chunks else 0.0
-
-
 def run(setting: WorkloadSetting = W1_SETTING, s0: int | None = None,
         qs: tuple[int, ...] = tuple(range(1, 11)),
         n_objects: int = 4000, seed: int = 0) -> list[QPoint]:
     """Run the experiment; returns its result rows."""
     s0 = s0 or setting.geo_default_s0
-    sizes = sample_workload(setting, n_objects, seed)
-    return [QPoint(q, average_chunk_size(sizes, s0, q, setting.max_chunk_size))
+    sizes = sample_workload(setting, n_objects, seed).tolist()
+    if not sizes:  # an explicit zero scale: no chunks to average
+        return [QPoint(q, 0.0) for q in qs]
+    return [QPoint(q, evaluate_candidate(sizes, s0, q, setting.max_chunk_size
+                                         ).average_chunk_size)
             for q in qs]
 
 

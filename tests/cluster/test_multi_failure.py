@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, RCStor
+from repro.cluster.rcstor import _Runtime
 from repro.codes import ClayCode, RSCode
 from repro.core import GeometricLayout, StripeLayout
 
@@ -24,6 +25,18 @@ def _shared_pg_disks(system):
     """Two failed disks on different nodes sharing at least one PG."""
     pg = system.cluster.pgs[0]
     return pg.disk_ids[0], pg.disk_ids[1]
+
+
+def _planned(system, failed_disks):
+    """The recovery queue planned for ``failed_disks``, before any run."""
+    return list(system._plan_recovery(_Runtime(system.config, 0),
+                                      failed_disks))
+
+
+def _shared_pg_tasks(system, failed_disks):
+    """Planned tasks of PGs that lost more than one chunk."""
+    return [t for t in _planned(system, failed_disks)
+            if sum(d in t.pg for d in failed_disks) > 1]
 
 
 def test_validation(system):
@@ -74,30 +87,76 @@ def test_double_failure_repairs_both_disks(system):
 
 
 def test_shared_pgs_fall_back_to_full_decode(system):
-    """PGs hit twice must read full survivor chunks (no sub-chunking)."""
+    """PGs hit twice must read full chunks (no sub-chunking) from k
+    helpers: the bottom rung of the fault ladder."""
     d1, d2 = _shared_pg_disks(system)
-    tasks = system._build_multi_failure_tasks([d1, d2])
+    tasks = _shared_pg_tasks(system, (d1, d2))
     assert tasks, "the two disks share a PG, so decode tasks must exist"
     for task in tasks:
         assert task.is_rs  # full decode path, not regenerating repair
+        assert len(task.profile.helpers) == system.config.k
         for helper in task.profile.helpers:
             assert helper.nbytes == task.profile.output_bytes  # full chunks
 
 
 def test_multi_failure_helpers_avoid_failed_disks(system):
     d1, d2 = _shared_pg_disks(system)
-    tasks = system._build_multi_failure_tasks([d1, d2])
+    tasks = _planned(system, [d1, d2])
+    assert _shared_pg_tasks(system, (d1, d2))
     for task in tasks:
         failed_roles = {task.pg.role_of(d) for d in (d1, d2) if d in task.pg}
         for helper in task.profile.helpers:
             assert helper.role not in failed_roles
 
 
+def test_shared_pg_decode_sets_rebuild_lost_chunks(system):
+    """The k helpers of a shared-PG task decode the PG's lost chunks with
+    the byte-exact Clay decoder, erasures padded to r."""
+    code = system.code
+    d1, d2 = _shared_pg_disks(system)
+    patterns = {}
+    for task in _shared_pg_tasks(system, (d1, d2)):
+        helpers = tuple(sorted(h.role for h in task.profile.helpers))
+        patterns.setdefault(helpers, {task.pg.role_of(d1),
+                                      task.pg.role_of(d2)})
+    assert len(patterns) >= 3
+    rng = np.random.default_rng(0)
+    chunk = code.alpha
+    data = [rng.integers(0, 256, chunk, dtype=np.uint8)
+            for _ in range(code.k)]
+    stripe = data + code.encode(data)
+    for helpers, lost in sorted(patterns.items())[:3]:
+        erased = [r for r in range(code.n) if r not in helpers]
+        assert len(erased) == code.r and lost <= set(erased)
+        decoded = code.decode({r: stripe[r] for r in helpers}, erased, chunk)
+        for role in lost:
+            assert np.array_equal(decoded[role], stripe[role])
+
+
 def test_disjoint_double_failure_is_two_singles(system):
-    """Disks on the same node never share a PG: no decode tasks."""
-    assert system._build_multi_failure_tasks([0, 1]) == []
+    """Disks on the same node never share a PG: planning changes no
+    task."""
+    assert _planned(system, [0, 1]) == (_planned(system, [0])
+                                        + _planned(system, [1]))
     report = system.run_multi_failure_recovery([0, 1])
     assert report.repaired_bytes > 0
+
+
+def test_shared_pg_report(system, stripe_rs):
+    """A shared-PG double failure repairs exactly the two disks'
+    single-failure work, with no escalation."""
+    d1, d2 = _shared_pg_disks(system)
+    report = system.run_multi_failure_recovery([d1, d2])
+    assert (report.n_tasks, report.repaired_bytes) == (176, 2_564_615_509)
+    singles = [system.run_recovery(d) for d in (d1, d2)]
+    assert report.n_tasks == sum(s.n_tasks for s in singles)
+    assert report.repaired_bytes == sum(s.repaired_bytes for s in singles)
+    assert report.tasks_escalated == 0
+    pg = stripe_rs.cluster.pgs[0]
+    report = stripe_rs.run_multi_failure_recovery([pg.disk_ids[0],
+                                                   pg.disk_ids[5]])
+    assert (report.n_tasks, report.repaired_bytes) == (130, 464_585_006)
+    assert report.tasks_escalated == 0
 
 
 def test_multi_failure_with_rs_stripe(stripe_rs):

@@ -195,6 +195,28 @@ def test_degraded_reads_during_recovery(geo_system):
     assert mean_without >= np.mean([r.total_time for r in idle]) * 0.99
 
 
+@pytest.mark.parametrize("code", [RSCode(10, 4), ClayCode(10, 4)],
+                         ids=["Stripe-RS", "Stripe-Clay"])
+def test_striped_reads_during_recovery_leave_failed_disk_idle(code, sizes):
+    """A striped degraded read during recovery repairs the failed disk's
+    own strip, so the failed disk serves no I/O at all."""
+    from repro.obs import Observer
+
+    obs = Observer()
+    system = RCStor(ClusterConfig(n_pgs=32), StripeLayout(256 * 1024, 10),
+                    code, obs=obs)
+    system.ingest(sizes)
+    objs = system.degraded_read_candidates(0)[:6]
+    assert len(objs) == 6
+    results, _ = system.measure_degraded_reads_during_recovery(objs, 0)
+    assert len(results) == 6
+    gauges = [g for key, g in obs.metrics
+              if key.startswith("disk.utilization{disk=0,")
+              and key.endswith("/degraded-during-recovery}")]
+    assert len(gauges) == 1
+    assert gauges[0].max == 0.0
+
+
 def test_recovery_weight_limit_throttles(geo_system):
     unlimited = geo_system.run_recovery(4)
     throttled = geo_system.run_recovery(4, weight_limit=1)
