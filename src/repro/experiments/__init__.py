@@ -12,7 +12,10 @@ exposes three layers:
   :class:`~repro.runner.ExperimentResult` rows back to the paper-style
   text table.
 
-``python -m repro.experiments`` wires these into the CLI.
+``python -m repro.experiments`` wires these into the CLI through one
+``EXPERIMENTS`` table (``__main__.py``): per CLI name, the module, its
+scenarios/render functions, the keywords the name fixes, the flags it
+reads, and whether it is an extension outside ``all``.
 """
 
 from repro.experiments.common import (

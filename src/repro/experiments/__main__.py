@@ -22,284 +22,163 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
-
-from repro.experiments.common import default
-
-
-# ----------------------------------------------------------------------
-# Experiment specs: (args) -> (scenario units, render function)
-# ----------------------------------------------------------------------
-def spec_table1(args):
-    from repro.experiments import table1
-
-    return table1.scenarios(), table1.render
-
-
-def spec_table2(args):
-    from repro.experiments import table2
-
-    return table2.scenarios(n_objects=args.n_objects), table2.render
-
-
-def spec_table3(args):
-    from repro.experiments import table3
-
-    return (table3.scenarios(args.workload, n_objects=args.n_objects),
-            table3.render)
-
-
-def spec_table4(args):
-    from repro.experiments import table4
-
-    return table4.scenarios(n_objects=args.n_objects), table4.render
-
-
-def spec_table5(args):
-    from repro.experiments import table5
-
-    return table5.scenarios(n_objects=args.n_objects), table5.render
-
-
-def spec_fig2(args):
-    from repro.experiments import fig2
-
-    return fig2.scenarios(), fig2.render
-
-
-def spec_fig4(args):
-    from repro.experiments import calibration, fig4
-
-    units = fig4.scenarios() + calibration.scenarios()
-
-    def render(results):
-        by = {r.name.rsplit("/", 1)[-1]: r for r in results}
-        return (fig4.render([by["chunk-size"]]) + "\n\n"
-                + calibration.render([by["calibration"]]))
-
-    return units, render
-
-
-def spec_fig7(args):
-    from repro.experiments import fig7
-
-    return fig7.scenarios(n_objects=args.n_objects), fig7.render
-
-
-def spec_fig9(args):
-    from repro.experiments import tradeoff
-
-    return (tradeoff.scenarios("W1", n_objects=args.n_objects,
-                               n_requests=default(args.n_requests, 20)),
-            tradeoff.render)
-
-
-def spec_fig10(args):
-    from repro.experiments import tradeoff
-
-    return (tradeoff.scenarios("W2", n_objects=args.n_objects,
-                               n_requests=default(args.n_requests, 20)),
-            tradeoff.render)
-
-
-def spec_fig11(args):
-    from repro.experiments import fig11_fig12
-
-    return (fig11_fig12.scenarios("W1", n_objects=args.n_objects),
-            fig11_fig12.render)
-
-
-def spec_fig12(args):
-    from repro.experiments import fig11_fig12
-
-    return (fig11_fig12.scenarios("W2", n_objects=args.n_objects),
-            fig11_fig12.render)
-
-
-def spec_fig13(args):
-    from repro.experiments import fig13
-
-    return fig13.scenarios(n_objects=args.n_objects), fig13.render
-
-
-def spec_fig14(args):
-    from repro.experiments import fig14
-
-    return (fig14.scenarios(args.workload, n_objects=args.n_objects),
-            fig14.render)
-
-
-def spec_breakdown(args):
-    from repro.experiments import breakdown
-
-    return (breakdown.scenarios(args.workload, n_objects=args.n_objects),
-            breakdown.render)
-
-
-def spec_range(args):
-    from repro.experiments import range_access
-
-    return (range_access.scenarios(n_objects=args.n_objects),
-            range_access.render)
-
-
-def spec_headline(args):
-    from repro.experiments import headline
-
-    n_w2 = args.n_objects * 10 if args.n_objects is not None else None
-    return (headline.scenarios(n_objects_w1=args.n_objects,
-                               n_objects_w2=n_w2),
-            headline.render)
-
-
-def spec_durability(args):
-    from repro.experiments import durability
-
-    return durability.scenarios(n_objects=args.n_objects), durability.render
-
-
-def spec_ablations(args):
-    from repro.experiments import ablations
-
-    return (ablations.scenarios(args.workload, n_objects=args.n_objects),
-            ablations.render)
-
-
-def _fault_doc(args):
-    """The fault plan named by ``--faults``, as a JSON-safe doc."""
-    if args.faults is None:
-        return None
-    from repro.faults import FaultPlan
-
-    return FaultPlan.load(args.faults).to_doc()
-
-
-def spec_chaos_tail(args):
-    from repro.experiments import chaos
-
-    factors = (args.straggler,) if args.straggler is not None else None
-    return (chaos.tail_scenarios(args.workload, n_objects=args.n_objects,
-                                 n_requests=args.n_requests,
-                                 factors=factors, faults=_fault_doc(args)),
-            chaos.render_tail)
-
-
-def spec_chaos_recovery(args):
-    from repro.experiments import chaos
-
-    return (chaos.second_failure_scenarios(args.workload,
-                                           n_objects=args.n_objects,
-                                           faults=_fault_doc(args)),
-            chaos.render_second_failure)
-
-
-def spec_placement_matrix(args):
-    from repro.experiments import placement_matrix
-
-    policies = (tuple(p for p in args.policies.split(",") if p)
-                if args.policies else None)
-    return (placement_matrix.scenarios(args.workload,
-                                       n_objects=args.n_objects,
-                                       n_requests=args.n_requests,
-                                       policies=policies),
-            placement_matrix.render)
-
-
-def spec_durability_frontier(args):
-    from repro.experiments import durability_frontier
-
-    policies = (tuple(p for p in args.policies.split(",") if p)
-                if args.policies else None)
-    return (durability_frontier.scenarios(
-        n_objects=args.n_objects, policies=policies,
-        n_disks=args.fleet_disks, years=args.fleet_years,
-        reps=args.reps, n_trials=args.trials),
-        durability_frontier.render)
-
-
-def spec_traffic_frontier(args):
-    from repro.experiments import traffic_frontier
-
-    rates = (tuple(float(r) for r in args.arrival_rate.split(",") if r)
-             if args.arrival_rate else None)
-    return (traffic_frontier.scenarios(
-        n_objects=args.n_objects, rates=rates, n_tenants=args.tenants,
-        hedge_ms=args.hedge_ms),
-        traffic_frontier.render)
-
-
-SPECS = {
-    "table1": spec_table1, "table2": spec_table2, "table3": spec_table3,
-    "table4": spec_table4, "table5": spec_table5,
-    "fig2": spec_fig2, "fig4": spec_fig4, "fig7": spec_fig7,
-    "fig9": spec_fig9, "fig10": spec_fig10, "fig11": spec_fig11,
-    "fig12": spec_fig12, "fig13": spec_fig13, "fig14": spec_fig14,
-    "breakdown": spec_breakdown, "range": spec_range,
-    "headline": spec_headline, "ablations": spec_ablations,
-    "durability": spec_durability,
-    "chaos-tail": spec_chaos_tail, "chaos-recovery": spec_chaos_recovery,
-    "placement-matrix": spec_placement_matrix,
-    "durability-frontier": spec_durability_frontier,
-    "traffic-frontier": spec_traffic_frontier,
+from typing import Any, NamedTuple
+
+
+class Experiment(NamedTuple):
+    """One CLI name: units from ``module.<scenarios>(**fixed)``, with each
+    flag in ``reads`` that is set added or overriding, and text from
+    ``module.<render>``."""
+
+    module: str                     # under repro.experiments
+    fixed: dict[str, Any] = {}      # scenarios() keywords the name fixes
+    reads: tuple[str, ...] = ()     # flag dests = scenarios() keywords
+    scenarios: str = "scenarios"
+    render: str = "render"
+    extension: bool = False         # beyond the paper: not run by ``all``
+
+
+# Flag dests that several experiments read.
+N = ("n_objects",)
+NR = ("n_objects", "n_requests")
+NW = ("n_objects", "setting")
+
+#: Every experiment the CLI runs.  ``all`` is the paper artifact set,
+#: pinned byte-for-byte by ``results/expected_all_300.json.gz``;
+#: extensions run only when named explicitly.
+EXPERIMENTS = {
+    "table1": Experiment("table1"),
+    "table2": Experiment("table2", reads=N),
+    "table3": Experiment("table3", {"setting": "W1"}, NW),
+    "table4": Experiment("table4", reads=N),
+    "table5": Experiment("table5", reads=N),
+    "fig2": Experiment("fig2"),
+    "fig4": Experiment("fig4", scenarios="scenarios_with_calibration",
+                       render="render_with_calibration"),
+    "fig7": Experiment("fig7", reads=N),
+    "fig9": Experiment("tradeoff", {"setting": "W1", "n_requests": 20}, NR),
+    "fig10": Experiment("tradeoff", {"setting": "W2", "n_requests": 20}, NR),
+    "fig11": Experiment("fig11_fig12", {"setting": "W1"}, N),
+    "fig12": Experiment("fig11_fig12", {"setting": "W2"}, N),
+    "fig13": Experiment("fig13", reads=N),
+    "fig14": Experiment("fig14", reads=NW),
+    "breakdown": Experiment("breakdown", reads=NW),
+    "range": Experiment("range_access", reads=N),
+    "headline": Experiment("headline", reads=N),
+    "durability": Experiment("durability", reads=N),
+    "ablations": Experiment("ablations", reads=NW),
+    "chaos-tail": Experiment(
+        "chaos", reads=NW + ("n_requests", "factors", "faults"),
+        scenarios="tail_scenarios", render="render_tail"),
+    "chaos-recovery": Experiment(
+        "chaos", reads=NW + ("faults",),
+        scenarios="second_failure_scenarios",
+        render="render_second_failure"),
+    "placement-matrix": Experiment(
+        "placement_matrix", reads=NW + ("n_requests", "policies"),
+        extension=True),
+    "durability-frontier": Experiment(
+        "durability_frontier",
+        reads=N + ("policies", "n_disks", "years", "reps", "n_trials"),
+        extension=True),
+    "traffic-frontier": Experiment(
+        "traffic_frontier", reads=N + ("rates", "n_tenants", "hedge_ms"),
+        extension=True),
 }
 
-#: Experiments beyond the paper's own tables and figures.  ``all`` is the
-#: paper artifact set, pinned byte-for-byte by
-#: ``results/expected_all_300.json.gz`` — extensions run only when named
-#: explicitly.
-EXTENSIONS = frozenset({"placement-matrix", "durability-frontier",
-                        "traffic-frontier"})
+
+def _number(parse, ok, rule: str):
+    """A ``type=`` that parses a number and rejects one that is not ``rule``."""
+    def convert(text: str):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return convert
+
+
+def _comma_list(item=str):
+    """A ``type=`` for a non-empty comma list of ``item`` values, as a tuple."""
+    def convert(text: str) -> tuple:
+        values = tuple(item(t) for t in text.split(",") if t)
+        if not values:
+            raise argparse.ArgumentTypeError(f"{text!r} lists nothing")
+        return values
+    return convert
+
+
+def _fault_doc(path: str) -> dict:
+    """The fault plan at ``path``, as the JSON-safe doc chaos units take."""
+    from repro.faults import FaultPlan
+
+    return FaultPlan.load(path).to_doc()
+
+
+COUNT = _number(int, lambda v: v >= 1, "an integer >= 1")
+POSITIVE = _number(float, lambda v: v > 0, "a number > 0")
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
-    parser.add_argument("experiment",
-                        choices=sorted(SPECS) + ["all"],
+    parser.add_argument("experiment", choices=sorted(EXPERIMENTS) + ["all"],
                         help="which table/figure to regenerate")
-    parser.add_argument("--n-objects", type=int, default=None,
+    # Experiment flags: each dest is the scenarios() keyword it feeds, and
+    # only the experiments whose table entry reads it accept it.
+    parser.add_argument("--n-objects", dest="n_objects",
+                        type=_number(int, lambda v: v >= 0, "an integer >= 0"),
                         help="workload scale (defaults are per-experiment)")
-    parser.add_argument("--n-requests", type=int, default=None,
-                        help="degraded-read sample size (fig9/fig10)")
-    parser.add_argument("--workload", choices=["W1", "W2"], default="W1",
+    parser.add_argument("--n-requests", dest="n_requests", type=COUNT,
+                        help="degraded-read sample size (fig9, fig10, "
+                             "chaos-tail, placement-matrix)")
+    parser.add_argument("--workload", dest="setting", choices=["W1", "W2"],
                         help="workload for workload-parametric experiments")
-    parser.add_argument("--faults", metavar="PLAN.json", default=None,
+    parser.add_argument("--faults", dest="faults", type=_fault_doc,
+                        metavar="PLAN.json",
                         help="inject a fault plan (repro.faults JSON) into "
                              "the chaos experiments instead of their "
                              "built-in plans")
-    parser.add_argument("--straggler", type=float, default=None,
-                        metavar="FACTOR",
+    parser.add_argument("--straggler", dest="factors", metavar="FACTOR",
+                        type=_number(lambda t: (float(t),), lambda v: True,
+                                     "a number"),
                         help="chaos-tail: sweep only this straggler "
                              "slow-factor instead of the default grid")
-    parser.add_argument("--policies", metavar="A,B,...", default=None,
+    parser.add_argument("--policies", dest="policies", type=_comma_list(),
+                        metavar="A,B,...",
                         help="placement-matrix / durability-frontier: "
                              "comma-separated placement policies to sweep "
                              "instead of the experiment's default set "
                              "(flat_random,rack_aware,copyset)")
-    parser.add_argument("--fleet-disks", type=int, default=None,
+    parser.add_argument("--fleet-disks", dest="n_disks", type=int,
                         help="durability-frontier: fleet size in disks "
                              "(default 10240; multiple of 8)")
-    parser.add_argument("--fleet-years", type=float, default=None,
+    parser.add_argument("--fleet-years", dest="years", type=POSITIVE,
                         help="durability-frontier: simulated years per "
                              "Monte-Carlo trial (default 10)")
-    parser.add_argument("--reps", type=int, default=None,
+    parser.add_argument("--reps", dest="reps", type=COUNT,
                         help="durability-frontier: seed-group repetitions "
                              "of the whole grid (default 3)")
-    parser.add_argument("--trials", type=int, default=None,
+    parser.add_argument("--trials", dest="n_trials", type=COUNT,
                         help="durability-frontier: Monte-Carlo trials per "
                              "grid point and repair speed (default 2)")
-    parser.add_argument("--arrival-rate", metavar="R1,R2,...", default=None,
+    parser.add_argument("--arrival-rate", dest="rates",
+                        type=_comma_list(POSITIVE), metavar="R1,R2,...",
                         help="traffic-frontier: comma-separated mean "
                              "arrival rates (requests/s) to sweep instead "
                              "of the default (40,160)")
-    parser.add_argument("--tenants", type=int, default=None, metavar="N",
+    parser.add_argument("--tenants", dest="n_tenants", type=int, metavar="N",
                         help="traffic-frontier: serve only the first N "
                              "tenant presets (shares renormalised; "
                              "default: all three)")
-    parser.add_argument("--hedge-ms", type=float, default=None,
+    parser.add_argument("--hedge-ms", dest="hedge_ms",
+                        type=_number(float, lambda v: v >= 0, "a number >= 0"),
                         help="traffic-frontier: hedge timeout in ms for "
                              "hedged cells (default 200)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -376,22 +255,39 @@ def _progress_printer():
     return progress
 
 
+def build(argv: list[str] | None = None):
+    """Parse ``argv`` and build ``(args, units, sections)``; a section is
+    ``(name, first unit index, one-past-last, render)``.  A flag that is
+    set but read by no chosen experiment is a usage error, before any unit
+    runs."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    names = (sorted(n for n, e in EXPERIMENTS.items() if not e.extension)
+             if args.experiment == "all" else [args.experiment])
+    reads = {dest for name in names for dest in EXPERIMENTS[name].reads}
+    unread = {dest for e in EXPERIMENTS.values() for dest in e.reads} - reads
+    for action in parser._actions:
+        if action.dest in unread and getattr(args, action.dest) is not None:
+            parser.error(f"{action.option_strings[0]} does not apply to "
+                         f"{args.experiment}")
+    units, sections = [], []
+    for name in names:
+        exp = EXPERIMENTS[name]
+        module = importlib.import_module(f"repro.experiments.{exp.module}")
+        kwargs = {**exp.fixed, **{k: getattr(args, k) for k in exp.reads
+                                  if getattr(args, k) is not None}}
+        made = getattr(module, exp.scenarios)(**kwargs)
+        sections.append((name, len(units), len(units) + len(made),
+                         getattr(module, exp.render)))
+        units.extend(s.prefixed(name) for s in made)
+    return args, units, sections
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the CLI runner."""
-    args = _parser().parse_args(argv)
+    args, units, sections = build(argv)
 
     from repro.runner import Capture, RunOptions, run_scenarios
-
-    names = (sorted(n for n in SPECS if n not in EXTENSIONS)
-             if args.experiment == "all" else [args.experiment])
-    units = []
-    sections = []  # (name, first unit index, one-past-last, render)
-    for name in names:
-        scenarios, render = SPECS[name](args)
-        scenarios = [s.prefixed(name) for s in scenarios]
-        sections.append((name, len(units), len(units) + len(scenarios),
-                         render))
-        units.extend(scenarios)
 
     # --report needs trace events (the span waterfall) and a timeline;
     # asking for either arms the live-run capture path for every unit.

@@ -87,11 +87,6 @@ def setting_by_name(name: str) -> WorkloadSetting:
         raise ValueError(f"unknown workload setting {name!r}") from None
 
 
-def default(value, fallback):
-    """``value`` unless it is ``None`` — never treats 0/""/[] as unset."""
-    return fallback if value is None else value
-
-
 def cluster_config(setting: WorkloadSetting, n_objects: int,
                    client_gbps: float = 1.0) -> ClusterConfig:
     """A cluster scaled so buckets hold a realistic number of chunks while

@@ -123,3 +123,17 @@ def scenarios() -> list[Scenario]:
 
 def render(results: list[ExperimentResult]) -> str:
     return to_text(typed_rows(results, ChunkSizePoint))
+
+
+def scenarios_with_calibration() -> list[Scenario]:
+    """The CLI's ``fig4``: the curve plus the calibration anchors it pins."""
+    from repro.experiments import calibration  # imports this module
+
+    return scenarios() + calibration.scenarios()
+
+
+def render_with_calibration(results: list[ExperimentResult]) -> str:
+    from repro.experiments import calibration
+
+    curve, anchors = results  # in scenarios_with_calibration() order
+    return render([curve]) + "\n\n" + calibration.render([anchors])

@@ -70,18 +70,18 @@ def to_text(r: HeadlineResult) -> str:
     return format_table(["Metric", "Measured", "Paper"], rows)
 
 
-def scenarios(n_objects_w1: int | None = None,
-              n_objects_w2: int | None = None) -> list[Scenario]:
-    """The W1 and W2 tradeoff units the headline ratios derive from.
+def scenarios(n_objects: int | None = None) -> list[Scenario]:
+    """The W1 and W2 tradeoff units the headline ratios derive from; W2
+    ingests ten times ``n_objects`` (its objects are much smaller).
 
     These are :func:`tradeoff.compute_scheme` units, so a prior ``fig9`` /
     ``fig10`` run at matching scale serves them straight from cache.
     """
     w1 = tradeoff.scenarios(
-        "W1", n_objects=n_objects_w1 if n_objects_w1 is not None else 3000,
+        "W1", n_objects=n_objects if n_objects is not None else 3000,
         schemes=["Geo-4M", "RS", "LRC"], include_busy=False)
     w2 = tradeoff.scenarios(
-        "W2", n_objects=n_objects_w2 if n_objects_w2 is not None else 40_000,
+        "W2", n_objects=n_objects * 10 if n_objects is not None else 40_000,
         schemes=["Geo-128K", "RS"], include_busy=False)
     return ([s.prefixed("w1") for s in w1] + [s.prefixed("w2") for s in w2])
 

@@ -1,23 +1,117 @@
 """Tests for the ``python -m repro.experiments`` runner CLI."""
 
+import functools
+import gzip
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.__main__ import EXTENSIONS, SPECS, main
+from repro.experiments.__main__ import EXPERIMENTS, build, main
+from repro.runner import ExperimentResult
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+ALL_300 = ["all", "--n-objects", "300", "--n-requests", "3"]
+PLACEMENT_SMOKE = ["placement-matrix", "--n-objects", "300",
+                   "--n-requests", "5", "--policies", "flat_random,rack_aware"]
+DURABILITY_SMOKE = ["durability-frontier", "--n-objects", "300",
+                    "--fleet-disks", "640", "--fleet-years", "2",
+                    "--reps", "2", "--trials", "1",
+                    "--policies", "flat_random,rack_aware"]
+
+
+@functools.cache
+def _fixture(name: str):
+    with gzip.open(RESULTS / name, "rt", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def test_experiment_registry_covers_the_paper():
+    extensions = {name for name, e in EXPERIMENTS.items() if e.extension}
     expected = {"table1", "table2", "table3", "table4", "table5",
                 "fig2", "fig4", "fig7", "fig9", "fig10", "fig11", "fig12",
                 "fig13", "fig14", "breakdown", "range", "headline",
                 "ablations", "durability", "chaos-tail", "chaos-recovery"}
-    assert expected == set(SPECS) - EXTENSIONS
+    assert expected == set(EXPERIMENTS) - extensions
     # Extensions are runnable but excluded from ``all`` (its output is
     # pinned byte-for-byte by results/expected_all_300.json.gz).
-    assert EXTENSIONS == {"placement-matrix", "durability-frontier",
+    assert extensions == {"placement-matrix", "durability-frontier",
                           "traffic-frontier"}
-    assert EXTENSIONS <= set(SPECS)
+    assert extensions <= set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("argv, fixture", [
+    (ALL_300, "expected_all_300.json.gz"),
+    (["traffic-frontier", "--n-objects", "300"],
+     "expected_traffic_300.json.gz"),
+    (PLACEMENT_SMOKE, "expected_placement_smoke.json.gz"),
+])
+def test_table_builds_the_pinned_units(argv, fixture):
+    """Each table entry (module, fixed keywords, flags it reads) builds
+    exactly the units the committed fixture ran — no simulation needed."""
+    _args, units, _sections = build(argv)
+    built = [(u.name, u.fn, json.loads(json.dumps(u.params)),
+              u.derive_seed(0), u.content_hash()) for u in units]
+    pinned = [(d["name"], d["provenance"]["fn"], d["provenance"]["params"],
+               d["provenance"]["seed"], d["provenance"]["scenario_hash"])
+              for docs in _fixture(fixture)["experiments"].values()
+              for d in docs]
+    assert built == pinned
+
+
+def test_table_builds_the_durability_smoke_units():
+    _args, units, _sections = build(DURABILITY_SMOKE)
+    pinned = _fixture("expected_durability_smoke.json.gz")
+    assert [u.name for u in units] == [d["name"] for d in pinned]
+
+
+def test_unset_flags_leave_the_fixed_keywords():
+    """fig9 fixes 20 degraded reads and table3 the W1 workload; a flag
+    that is not given must not overwrite them with ``None``."""
+    _args, units, _sections = build(["fig9"])
+    assert {u.params["n_requests"] for u in units} == {20}
+    _args, units, _sections = build(["table3"])
+    assert {u.params["setting"] for u in units} == {"W1"}
+
+
+def test_all_renders_the_pinned_text_from_the_pinned_rows():
+    """Every ``all`` section's render function, fed the fixture's rows,
+    prints results/expected_all_300.txt (the text output, less the
+    per-section "[... units cached]" lines)."""
+    _args, _units, sections = build(ALL_300)
+    docs = _fixture("expected_all_300.json.gz")["experiments"]
+    text = "".join(
+        f"===== {name} =====\n"
+        f"{render([ExperimentResult.from_doc(d) for d in docs[name]])}\n\n"
+        for name, _lo, _hi, render in sections)
+    expected = (RESULTS / "expected_all_300.txt").read_text(encoding="utf-8")
+    assert text == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig9", "--n-requests", "0"],
+    ["durability-frontier", "--reps", "0"],
+    ["durability-frontier", "--trials", "0"],
+    ["durability-frontier", "--fleet-years", "0"],
+    ["traffic-frontier", "--hedge-ms", "-5"],
+    ["traffic-frontier", "--arrival-rate", "40,0"],
+    ["traffic-frontier", "--arrival-rate", ","],
+    ["placement-matrix", "--policies", ","],
+    ["fig13", "--n-objects", "-1"],
+    # Flags the chosen experiment would ignore.
+    ["fig13", "--n-requests", "5"],
+    ["table1", "--n-objects", "5"],
+    ["chaos-recovery", "--straggler", "4"],
+    ["fig9", "--policies", "rack_aware"],
+    ["fig9", "--workload", "W2"],
+    ["all", "--policies", "rack_aware"],
+])
+def test_cli_usage_errors_run_nothing(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err  # names the flag
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_table1(tmp_path, capsys):

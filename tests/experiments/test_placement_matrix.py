@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.__main__ import EXTENSIONS, SPECS, main
+from repro.experiments.__main__ import EXPERIMENTS, main
 from repro.experiments.common import setting_by_name
 from repro.experiments.placement_matrix import tiered_config
 
@@ -63,8 +63,8 @@ def test_jobs_fanout_matches_serial_and_hits_cache(tmp_path, capsys):
 def test_all_excludes_placement_matrix():
     """``all`` output is pinned by results/expected_all_300.json.gz, so
     the extension must not leak into it."""
-    assert "placement-matrix" in SPECS
-    assert "placement-matrix" in EXTENSIONS
+    assert "placement-matrix" in EXPERIMENTS
+    assert EXPERIMENTS["placement-matrix"].extension
 
 
 def test_unknown_policy_fails_fast(tmp_path):

@@ -152,7 +152,7 @@ def test_cli_trace_and_metrics_flags(tmp_path, capsys):
     from repro.experiments.__main__ import main
 
     out = tmp_path / "trace.json"
-    assert main(["fig13", "--n-objects", "200", "--n-requests", "3",
+    assert main(["fig13", "--n-objects", "200",
                  "--trace", str(out), "--metrics",
                  "--cache-dir", str(tmp_path / "cache")]) == 0
     printed = capsys.readouterr().out
