@@ -25,7 +25,7 @@ import numpy as np
 from repro.cluster.disk import BACKGROUND, FOREGROUND
 from repro.cluster.foreground import start_foreground_load
 from repro.cluster.network import client_link
-from repro.cluster.rcstor import RCStor, _Runtime
+from repro.cluster.rcstor import REPAIR_RPC_OVERHEAD, RCStor, _Runtime
 
 MB = 1 << 20
 
@@ -93,7 +93,7 @@ def measure_puts(system: RCStor, sizes, busy: bool = False,
         writes = [rt.env.process(rt.disks[d].write(1, size, FOREGROUND))
                   for d in _staging_disks(system, object_id)]
         yield rt.env.all_of([upload] + writes)
-        yield rt.env.timeout(system.config.repair_rpc_overhead)
+        yield rt.env.timeout(REPAIR_RPC_OVERHEAD)
 
     def driver():
         if busy:

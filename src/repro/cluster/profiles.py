@@ -32,12 +32,14 @@ class HelperRead:
 
 @dataclass(frozen=True)
 class RepairProfile:
-    """Aggregate I/O shape of repairing one chunk."""
+    """Aggregate I/O shape of repairing one chunk.  ``decode`` is its kind:
+    MDS decode from whole chunks, not regeneration from sub-chunks."""
 
     failed_role: int
     chunk_size: int
     helpers: tuple[HelperRead, ...]
     output_bytes: int
+    decode: bool = False
 
     @property
     def total_read_bytes(self) -> int:
@@ -50,16 +52,20 @@ class RepairProfile:
         return self.total_read_bytes / self.chunk_size
 
     def scaled(self, count: int) -> "RepairProfile":
-        """Profile of ``count`` chunk repairs batched into one request."""
+        """Profile of ``count`` chunk repairs batched into one request; a
+        decode reads each helper's whole chunks in one contiguous I/O."""
         if count < 1:
             raise ValueError("count must be >= 1")
         if count == 1:
             return self
-        helpers = tuple(HelperRead(h.role, h.n_ios * count, h.nbytes * count,
-                                   h.span * count)
-                        for h in self.helpers)
+        helpers = tuple(
+            HelperRead(h.role, 1, h.nbytes * count, h.nbytes * count)
+            if self.decode else
+            HelperRead(h.role, h.n_ios * count, h.nbytes * count,
+                       h.span * count)
+            for h in self.helpers)
         return RepairProfile(self.failed_role, self.chunk_size * count,
-                             helpers, self.output_bytes * count)
+                             helpers, self.output_bytes * count, self.decode)
 
 
 class ProfileCache:
@@ -67,6 +73,9 @@ class ProfileCache:
 
     def __init__(self, code: ErasureCode):
         self.code = code
+        # The kind of every profile made here: scalar codes (RS, LRC)
+        # rebuild whole chunks, vector codes regenerate from sub-chunks.
+        self.decode = code.alpha == 1
         self._cache: dict[tuple[int, int], RepairProfile] = {}
 
     def _rounded_chunk(self, chunk_size: int) -> int:
@@ -92,7 +101,8 @@ class ProfileCache:
                 spans[node] = segs[-1].end - segs[0].offset
             helpers = tuple(HelperRead(node, ios[node], per_node[node], spans[node])
                             for node in sorted(per_node))
-            self._cache[key] = RepairProfile(failed_role, rounded, helpers, rounded)
+            self._cache[key] = RepairProfile(failed_role, rounded, helpers,
+                                             rounded, self.decode)
         profile = self._cache[key]
         if inv is not None:
             inv.check_repair_profile(self.code, profile)
@@ -113,4 +123,4 @@ class ProfileCache:
         return RepairProfile(
             failed_role, total,
             tuple(HelperRead(role, *acc) for role, acc in per_role.items()),
-            total)
+            total, self.decode)

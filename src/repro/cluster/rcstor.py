@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.cluster.catalog import Catalog, StoredObject
-from repro.cluster.codec import DEFAULT_CODEC, CodecModel
+from repro.cluster.codec import DEFAULT_CODEC
 from repro.cluster.disk import (
     BACKGROUND,
     FOREGROUND,
@@ -46,6 +46,14 @@ from repro.obs.observer import Observer, get_default_observer
 from repro.sim import Environment, SimulationError
 
 MB = 1 << 20
+
+#: §5.1 "Paralleled Recovery": weight unit and per-server weight cap.
+RECOVERY_WEIGHT_UNIT = 4 * MB
+RECOVERY_GLOBAL_WEIGHT = 512
+#: Fixed per-chunk-repair software cost: request fan-out, response
+#: synchronisation, HTTP-server overhead ("I/O latency, synchronization,
+#: software, etc." — §6.3 on W2 repair times).
+REPAIR_RPC_OVERHEAD = 0.002
 
 #: Fault-ladder bounds: how many times one repair retries before a recovery
 #: task is requeued-or-abandoned, and before a degraded read stops arming
@@ -101,7 +109,6 @@ class _RecoveryTask:
     pg: PlacementGroup
     profile: RepairProfile
     weight: int
-    is_rs: bool
     attempts: int = 0
 
 
@@ -212,8 +219,8 @@ class RCStor:
     """The storage system under one (layout, code) scheme."""
 
     def __init__(self, config: ClusterConfig, layout: Layout, code: ErasureCode,
-                 codec: CodecModel = DEFAULT_CODEC, ecpipe: bool = False,
-                 name: str | None = None, obs: Observer | None = None):
+                 ecpipe: bool = False, name: str | None = None,
+                 obs: Observer | None = None):
         if code.k != config.k or code.r != config.r:
             raise ValueError(f"code {code.name} does not match cluster "
                              f"({config.k},{config.r})")
@@ -222,16 +229,13 @@ class RCStor:
         self.cluster = Cluster(config)
         self.layout = layout
         self.code = code
-        self.codec = codec
+        self.codec = DEFAULT_CODEC
         self.ecpipe = ecpipe
         self.name = name or f"{layout.name}/{code.name}"
         self.catalog = Catalog(self.cluster, layout)
         self.profiles = ProfileCache(code)
-        self.rs_profiles = (self.profiles if isinstance(code, RSCode)
-                            else ProfileCache(RSCode(config.k, config.r)))
-        # Scalar codes (RS, LRC) rebuild whole rows; vector codes
-        # regenerate from sub-chunks.
-        self._scalar_rebuild = code.alpha == 1
+        # Repairs of Geometric layouts' RS-coded fronts.
+        self.rs_profiles = ProfileCache(RSCode(config.k, config.r))
 
     @property
     def obs(self) -> Observer | None:
@@ -249,11 +253,6 @@ class RCStor:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _codec_time(self, output_bytes: int, is_rs: bool) -> float:
-        if is_rs or self._scalar_rebuild:
-            return self.codec.decode_time(output_bytes)
-        return self.codec.regenerate_time(output_bytes)
-
     def _start_foreground_load(self, rt: _Runtime) -> None:
         """Arm the closed-loop foreground load of a busy measurement."""
         start_foreground_load(
@@ -308,7 +307,7 @@ class RCStor:
         helpers = tuple(HelperRead(role, h.n_ios, h.nbytes, h.span)
                         for role, h in zip(chosen, profile.helpers))
         return RepairProfile(profile.failed_role, profile.chunk_size,
-                             helpers, profile.output_bytes)
+                             helpers, profile.output_bytes, profile.decode)
 
     def _decode_fallback(self, profile: RepairProfile,
                          failed_roles: set[int], rotation: int,
@@ -325,28 +324,27 @@ class RCStor:
         full_chunk = HelperRead(profile.failed_role, 1, nbytes, nbytes)
         decode = self._repick_profile(
             RepairProfile(profile.failed_role, nbytes, (full_chunk,) * k,
-                          nbytes), failed_roles, rotation)
+                          nbytes, decode=True), failed_roles, rotation)
         if inv is not None:
             inv.check_decode_profile(decode, k)
         return decode
 
-    def _fallback_profile(self, profile: RepairProfile, is_rs: bool,
+    def _fallback_profile(self, profile: RepairProfile,
                           failed_roles: set[int], rotation: int, inv=None
-                          ) -> tuple[RepairProfile | None, bool]:
+                          ) -> RepairProfile | None:
         """One rung down the ladder for a profile with dead helpers.
 
         While enough survivors remain for the current plan shape, helpers
         are re-picked onto live roles (sound for any-k MDS reads, and for a
         regenerating profile whose d-survivor set is intact).  A
         regenerating profile that lost a helper is below its repair
-        threshold and falls to full RS-style decode.  Returns
-        ``(profile, is_rs)``; profile is ``None`` when unrecoverable.
+        threshold and falls to full RS-style decode.  Returns ``None``
+        when unrecoverable.
         """
         survivors = self._live_roles(profile, failed_roles)
         if len(survivors) >= len(profile.helpers):
-            return self._repick_profile(profile, failed_roles, rotation), is_rs
-        return self._decode_fallback(profile, failed_roles, rotation,
-                                     inv), True
+            return self._repick_profile(profile, failed_roles, rotation)
+        return self._decode_fallback(profile, failed_roles, rotation, inv)
 
     @staticmethod
     def _spawn_reads(rt: _Runtime, pg: PlacementGroup, helpers,
@@ -355,8 +353,28 @@ class RCStor:
         return [rt.env.process(rt.disks[pg.disk_ids[h.role]].read(
             h.n_ios, h.nbytes, priority, span=h.span)) for h in helpers]
 
+    @staticmethod
+    def _wait_legs(env: Environment, legs: list, deadline: float | None):
+        """Sub-generator: wait until every leg lands or ``deadline``
+        seconds pass (``None``: no deadline).  Returns the legs' ``AllOf``
+        event, triggered only if every leg landed."""
+        all_done = env.all_of(legs)
+        if deadline is None:
+            yield all_done
+        else:
+            yield env.any_of([all_done, env.timeout(deadline)])
+        return all_done
+
+    @staticmethod
+    def _cancel(legs: list, cause: str) -> None:
+        """Interrupt the legs still in flight, which cancels their queued
+        disk requests rather than leaking the grants."""
+        for leg in legs:
+            if not leg.triggered:
+                leg.interrupt(cause)
+
     def _read_helpers(self, rt: _Runtime, pg: PlacementGroup,
-                      profile: RepairProfile, is_rs: bool, priority: int,
+                      profile: RepairProfile, priority: int,
                       hedge_s: float | None, stats: dict,
                       failed_disks: set[int] | None = None,
                       attempts: int = 0):
@@ -367,10 +385,10 @@ class RCStor:
         escalate to RS decode below the regenerating threshold), timeouts
         rotate the helper set — and after two, force a regenerating read
         to the decode fallback — and corrupt reads retry.  Each attempt is
-        a hedge race when ``hedge_s`` is set (:meth:`_fanout_race`,
-        :meth:`_decode_race`), else a timeout retry that arms the plan's
-        ``helper_timeout`` (``None`` without one) for the first
-        :data:`MAX_HEDGED_ATTEMPTS` attempts.
+        a hedge race when ``hedge_s`` is set (:meth:`_fanout_race` for a
+        decode, :meth:`_decode_race` for a regenerating read), else a
+        timeout retry that arms the plan's ``helper_timeout`` (``None``
+        without one) for the first :data:`MAX_HEDGED_ATTEMPTS` attempts.
 
         ``stats`` counts ``hedged_retries``, ``hedges_fired`` and
         ``hedge_wins``.  Degraded reads watch the injector's crashed disks
@@ -378,8 +396,8 @@ class RCStor:
         ``failed_disks`` and their ``attempts`` so far; ``stats`` is then
         the run's meta, escalations count too, and the task is abandoned
         (profile ``None``) when lost or after :data:`MAX_REPAIR_ATTEMPTS`.
-        Returns ``(profile, is_rs, attempts)`` for the read set that
-        landed, so gather volume and decode flavour follow it.
+        Returns ``(profile, attempts)`` for the read set that landed, so
+        gather volume and codec step follow it.
         """
         env = rt.env
         recovering = failed_disks is not None
@@ -390,18 +408,18 @@ class RCStor:
             failed_roles = self._failed_roles(pg, failed_disks,
                                               profile.failed_role)
             if any(h.role in failed_roles for h in profile.helpers):
-                was_rs = is_rs
-                profile, is_rs = self._fallback_profile(
-                    profile, is_rs, failed_roles, rotation, rt.invariants)
+                was_decode = profile.decode
+                profile = self._fallback_profile(
+                    profile, failed_roles, rotation, rt.invariants)
                 rotation += 1
                 if profile is None:
                     if recovering:
-                        return None, is_rs, attempts
+                        return None, attempts
                     raise self._unrecoverable()
-                if recovering and is_rs and not was_rs:
+                if recovering and profile.decode and not was_decode:
                     self._count_escalation(rt, stats)
             legs = self._spawn_reads(rt, pg, profile.helpers, priority)
-            if hedge_s is not None and (is_rs or self._scalar_rebuild):
+            if hedge_s is not None and profile.decode:
                 used = {h.role for h in profile.helpers}
                 shape = profile.helpers[0]
                 spares = [HelperRead(r, shape.n_ios, shape.nbytes, shape.span)
@@ -410,31 +428,21 @@ class RCStor:
                 statuses = yield from self._fanout_race(
                     rt, pg, legs, spares, priority, hedge_s, stats)
             elif hedge_s is not None:
-                profile, is_rs, statuses = yield from self._decode_race(
+                profile, statuses = yield from self._decode_race(
                     rt, pg, profile, legs, failed_roles, rotation, priority,
                     hedge_s, stats)
             else:
-                all_done = env.all_of(legs)
                 timeout = (rt.faults.helper_timeout
                            if attempts < MAX_HEDGED_ATTEMPTS else None)
-                if timeout is None:
-                    statuses = yield all_done
-                else:
-                    yield env.any_of([all_done, env.timeout(timeout)])
-                    # On a timeout the unfinished reads are interrupted,
-                    # which cancels their still-queued disk requests rather
-                    # than leaking the grants.
-                    statuses = [leg.value for leg in legs] \
-                        if all_done.triggered else None
-                    for leg in legs:
-                        if not leg.triggered:
-                            leg.interrupt("helper-timeout")
+                all_done = yield from self._wait_legs(env, legs, timeout)
+                statuses = all_done.value if all_done.triggered else None
+                self._cancel(legs, "helper-timeout")
             if statuses is not None and IO_FAILED not in statuses \
                     and IO_CORRUPT not in statuses:
-                return profile, is_rs, attempts
+                return profile, attempts
             attempts += 1
             if recovering and attempts >= MAX_REPAIR_ATTEMPTS:
-                return None, is_rs, attempts
+                return None, attempts
             if statuses is None:
                 stats["hedged_retries"] += 1
                 self._fault_counter(rt, "repair.hedged_retries")
@@ -443,14 +451,14 @@ class RCStor:
                 # flight; the snapshot from the top of the loop is stale.
                 failed_roles = self._failed_roles(pg, failed_disks,
                                                   profile.failed_role)
-                if is_rs or self._scalar_rebuild:
+                if profile.decode:
                     profile = self._repick_profile(profile, failed_roles,
                                                    rotation)
                 elif attempts >= 2:
                     decode = self._decode_fallback(profile, failed_roles,
                                                    rotation, rt.invariants)
                     if decode is not None:
-                        profile, is_rs = decode, True
+                        profile = decode
                         if recovering:
                             self._count_escalation(rt, stats)
             else:
@@ -458,21 +466,20 @@ class RCStor:
                 self._fault_counter(rt, f"repair.{status}_reads")
 
     def _fanout_race(self, rt: _Runtime, pg: PlacementGroup, primary: list,
-                     spares: list, priority: int, hedge_s: float,
+                     spares: list, priority: int, hedge_s: float | None,
                      stats: dict):
-        """Sub-generator: hedge race of an any-k MDS read.
+        """Sub-generator: hedge race of an any-k MDS read (``hedge_s``
+        ``None``: no race, the ``primary`` legs are waited out).
 
         If the ``primary`` legs are still in flight after ``hedge_s``,
         legs fan out on the ``spares`` reads and the first
         ``len(primary)`` responses of the widened set win: every MDS leg
         delivers an equally useful strip, so the slowest primary leg no
-        longer gates the read.  Losers are interrupted, which cancels
-        their queued disk requests rather than leaking the grants.
-        Returns the statuses of the legs that landed.
+        longer gates the read.  Losers are cancelled.  Returns the
+        statuses of the legs that landed.
         """
         env = rt.env
-        all_done = env.all_of(primary)
-        yield env.any_of([all_done, env.timeout(hedge_s)])
+        all_done = yield from self._wait_legs(env, primary, hedge_s)
         if all_done.triggered:
             return all_done.value
         if not spares:
@@ -485,9 +492,7 @@ class RCStor:
         if not all(leg.triggered for leg in primary):
             stats["hedge_wins"] += 1
         statuses = [leg.value for leg in legs if leg.triggered]
-        for leg in legs:
-            if not leg.triggered:
-                leg.interrupt("hedge-loser")
+        self._cancel(legs, "hedge-loser")
         return statuses
 
     def _decode_race(self, rt: _Runtime, pg: PlacementGroup,
@@ -499,14 +504,14 @@ class RCStor:
         A regenerating profile already reads all d = n-1 survivors, so no
         spare legs exist: after ``hedge_s`` the hedge races a full
         RS-style decode read set instead — structurally expensive, which
-        is exactly the regenerating trade-off.  Returns ``(profile,
-        is_rs, statuses)`` of the read set that landed first.
+        is exactly the regenerating trade-off.  The losing set is
+        cancelled.  Returns ``(profile, statuses)`` of the read set that
+        landed first.
         """
         env = rt.env
-        all_done = env.all_of(legs)
-        yield env.any_of([all_done, env.timeout(hedge_s)])
+        all_done = yield from self._wait_legs(env, legs, hedge_s)
         if all_done.triggered:
-            return profile, False, all_done.value
+            return profile, all_done.value
         # The ladder only races a profile whose d helpers are all live, so
         # at least k survivors remain for the decode set.
         fallback = self._decode_fallback(profile, failed_roles, rotation,
@@ -515,22 +520,21 @@ class RCStor:
         backup = self._spawn_reads(rt, pg, fallback.helpers, priority)
         backup_done = env.all_of(backup)
         yield env.any_of([all_done, backup_done])
-        won = not all_done.triggered
-        for leg in (legs if won else backup):
-            if not leg.triggered:
-                leg.interrupt("hedge-loser")
-        if not won:
-            return profile, False, all_done.value
+        if all_done.triggered:
+            self._cancel(backup, "hedge-loser")
+            return profile, all_done.value
+        self._cancel(legs, "hedge-loser")
         stats["hedge_wins"] += 1
-        return fallback, True, backup_done.value
+        return fallback, backup_done.value
 
     def _repair_tail(self, rt: _Runtime, track: str, t_read: float,
                      server_node: int, nbytes: int, sources,
-                     output_bytes: int, is_rs: bool, gather: bool = True,
+                     profile: RepairProfile, gather: bool = True,
                      **span_args):
         """Sub-generator: what every repair does once its helper reads
         landed — gather ``nbytes`` at ``server_node`` (``gather=False``
-        for ECPipe's pipelined degraded reads), then decode and locate."""
+        for ECPipe's pipelined degraded reads), then decode or regenerate
+        ``profile``'s output, by its kind, and locate."""
         env = rt.env
         rt.span("helper_reads", track, t_read, env.now, **span_args,
                 nbytes=nbytes)
@@ -539,8 +543,10 @@ class RCStor:
             yield env.process(rt.fabric.gather(server_node, nbytes, sources))
             rt.span("gather", track, t_gather, env.now, **span_args,
                     nbytes=nbytes)
-        codec_time = self._codec_time(output_bytes, is_rs)
-        rpc = self.config.repair_rpc_overhead
+        output_bytes = profile.output_bytes
+        codec_time = (self.codec.decode_time(output_bytes) if profile.decode
+                      else self.codec.regenerate_time(output_bytes))
+        rpc = REPAIR_RPC_OVERHEAD
         yield env.timeout(codec_time + rpc)
         now = env.now
         rt.span("decode", track, now - rpc - codec_time, now - rpc,
@@ -573,7 +579,7 @@ class RCStor:
 
         def transfer_proc():
             yield started
-            yield env.timeout(self.config.repair_rpc_overhead)
+            yield env.timeout(REPAIR_RPC_OVERHEAD)
             yield env.process(client.transfer(obj.size))
 
         xfer = env.process(transfer_proc())
@@ -666,37 +672,67 @@ class RCStor:
                        byte_range: tuple[int, int] | None = None,
                        priority: int = FOREGROUND,
                        hedge_s: float | None = None):
-        """Sub-generator: one degraded read over a fresh client link.
+        """Sub-generator: one degraded read over a fresh client link;
+        returns its :class:`DegradedReadResult`.
 
-        Runs this layout's degraded-read process and returns its
-        :class:`DegradedReadResult`.  ``failed_role`` matters only to
-        striped layouts (others lose the object's chunk).
+        Its process runs the layout's plan (:meth:`_single_disk_plan`,
+        :meth:`_striped_plan`): a repair body, overlapped with the client
+        transfer of the plan's parts (Figure 8).  The process books the
+        repair phase: its time, the hedge counts and the ``repair`` span.
+        ``failed_role`` matters only to striped layouts (others lose the
+        object's chunk); ``priority`` is the helper reads' disk-queue lane
+        (tenant lanes, :mod:`repro.cluster.qos`); ``hedge_s`` arms each
+        repair's hedge race.
         """
         env = rt.env
         result = DegradedReadResult(0.0, 0.0, 0.0, obj.size)
-        args = (rt.client(self.config.client_gbps), result, byte_range,
-                priority, hedge_s)
+        client = rt.client(self.config.client_gbps)
+        plan = (self._striped_plan if self.layout.spans_disks
+                else self._single_disk_plan)
+
+        def degraded_proc():
+            pg = self.cluster.pgs[obj.pg_id]
+            role = failed_role if obj.role is None else obj.role
+            placed = self.catalog.placement_of(obj, role).chunks
+            overlaps = self._overlaps(placed, byte_range)
+            # Drawn once this process runs, not when it is spawned: busy
+            # foreground readers draw from the same generator in between.
+            server_node = self._gather_node(
+                rt, pg, int(rt.rng.integers(self.config.n_nodes)))
+            stats = Counter()
+            repair, parts, span_args = plan(
+                rt, pg, role, placed, overlaps, server_node, priority,
+                hedge_s, stats)
+
+            def repair_proc():
+                t0 = env.now
+                yield from repair
+                result.repair_time = env.now - t0
+                result.hedges_fired += stats["hedges_fired"]
+                result.hedge_wins += stats["hedge_wins"]
+                rt.span("repair", "repair", t0, env.now, **span_args)
+
+            env.process(repair_proc())
+            yield env.process(self._transfer(rt, client, result, parts))
+
         t0 = env.now
-        yield env.process(
-            self._degraded_striped_proc(rt, obj, failed_role, *args)
-            if self.layout.spans_disks
-            else self._degraded_single_disk_proc(rt, obj, *args))
+        yield env.process(degraded_proc())
         result.total_time = env.now - t0
         return result
 
     def _repair_step(self, rt: _Runtime, pg: PlacementGroup,
-                     profile: RepairProfile, is_rs: bool, server_node: int,
+                     profile: RepairProfile, server_node: int,
                      priority: int, hedge_s: float | None, stats: dict,
                      **span_args):
         """Sub-generator: one degraded-read repair — the helper-read step,
         then :meth:`_repair_tail` on the read set that landed."""
         t_read = rt.env.now
-        profile, is_rs, _ = yield from self._read_helpers(
-            rt, pg, profile, is_rs, priority, hedge_s, stats)
+        profile, _ = yield from self._read_helpers(
+            rt, pg, profile, priority, hedge_s, stats)
         yield from self._repair_tail(
             rt, "repair", t_read, server_node, profile.total_read_bytes,
-            self._helper_sources(pg, profile), profile.output_bytes, is_rs,
-            not self.ecpipe, **span_args)
+            self._helper_sources(pg, profile), profile, not self.ecpipe,
+            **span_args)
 
     @staticmethod
     def _transfer(rt: _Runtime, client: Link, result: DegradedReadResult,
@@ -717,76 +753,48 @@ class RCStor:
                     chunk=i, nbytes=nbytes)
         result.transfer_time = t_busy
 
-    def _degraded_single_disk_proc(self, rt: _Runtime, obj: StoredObject,
-                                   client: Link, result: DegradedReadResult,
-                                   byte_range: tuple[int, int] | None = None,
-                                   priority: int = FOREGROUND,
-                                   hedge_s: float | None = None):
-        """Geometric / Contiguous: repair chunks in order, pipeline the
-        transfer of chunk i with the repair of chunk i+1 (Figure 8).
-
-        ``priority`` is the disk-queue lane of the helper reads (tenant
-        lanes, :mod:`repro.cluster.qos`); ``hedge_s`` arms the hedging
-        race per chunk.  Both default to the historical behaviour, so the
-        pinned measurement paths are byte-identical."""
+    def _single_disk_plan(self, rt: _Runtime, pg: PlacementGroup,
+                          failed_role: int, placed, overlaps: list[int],
+                          server_node: int, priority: int,
+                          hedge_s: float | None, stats: dict):
+        """Geometric / Contiguous: repair the ``placed`` chunks that the
+        read ``overlaps`` in order, each part gated on its chunk's repair.
+        Returns ``(repair body, parts, span args)``."""
         env = rt.env
-        pg = self.cluster.pgs[obj.pg_id]
-        failed_role = obj.role
-        placement = self.catalog.placement_of(obj)
-        overlaps = self._overlaps(placement.chunks, byte_range)
-        chunks = [(c, n) for c, n in zip(placement.chunks, overlaps) if n > 0]
+        chunks = [(c, n) for c, n in zip(placed, overlaps) if n > 0]
         ready = [env.event() for _ in chunks]
-        server_node = self._gather_node(
-            rt, pg, int(rt.rng.integers(self.config.n_nodes)))
-        stats = Counter()
 
-        def repair_proc():
-            t0 = env.now
+        def repair():
             for i, (chunk, overlap) in enumerate(chunks):
-                is_rs = chunk.code_kind == RS_KIND
+                rs_front = chunk.code_kind == RS_KIND
                 # RS-coded fronts repair at byte granularity; regenerating
                 # chunks must repair the whole chunk and discard.
-                size = overlap if is_rs else chunk.stored_bytes
-                cache = self.rs_profiles if is_rs else self.profiles
+                size = overlap if rs_front else chunk.stored_bytes
+                cache = self.rs_profiles if rs_front else self.profiles
                 yield from self._repair_step(
                     rt, pg, cache.get(failed_role, size, rt.invariants),
-                    is_rs, server_node, priority, hedge_s, stats, chunk=i)
+                    server_node, priority, hedge_s, stats, chunk=i)
                 ready[i].succeed()
-            result.repair_time = env.now - t0
-            result.hedges_fired += stats["hedges_fired"]
-            result.hedge_wins += stats["hedge_wins"]
-            rt.span("repair", "repair", t0, env.now, chunks=len(chunks))
 
-        env.process(repair_proc())
-        yield env.process(self._transfer(
-            rt, client, result,
-            ((i, overlap, ready[i]) for i, (_, overlap) in enumerate(chunks))))
+        parts = ((i, overlap, ready[i])
+                 for i, (_, overlap) in enumerate(chunks))
+        return repair(), parts, {"chunks": len(chunks)}
 
-    def _degraded_striped_proc(self, rt: _Runtime, obj: StoredObject,
-                               failed_role: int, client: Link,
-                               result: DegradedReadResult,
-                               byte_range: tuple[int, int] | None = None,
-                               priority: int = FOREGROUND,
-                               hedge_s: float | None = None):
-        """Stripe / Stripe-Max: fetch surviving strips in parallel, repair
-        the failed disk's strips, pipeline the client transfer in strip
-        order (§6.1's n-requests-first-k-responses rebuild).
-
-        ``priority`` / ``hedge_s`` as in
-        :meth:`_degraded_single_disk_proc` — defaults keep the pinned
-        measurement paths byte-identical."""
+    def _striped_plan(self, rt: _Runtime, pg: PlacementGroup,
+                      failed_role: int, placed, overlaps: list[int],
+                      server_node: int, priority: int,
+                      hedge_s: float | None, stats: dict):
+        """Stripe / Stripe-Max: fetch the surviving strips in parallel and
+        repair the failed disk's strips (§6.1's n-requests-first-k-responses
+        rebuild); parts go in strip order.  Returns as
+        :meth:`_single_disk_plan`."""
         env = rt.env
-        pg = self.cluster.pgs[obj.pg_id]
-        placement = self.catalog.placement_of(obj, failed_role)
-        overlaps = self._overlaps(placement.chunks, byte_range)
+        scalar = self.profiles.decode
         range_has_missing = any(
-            n > 0 and c.needs_repair
-            for c, n in zip(placement.chunks, overlaps))
-        chunks = [(c, n) for c, n in zip(placement.chunks, overlaps)
-                  if n > 0 or (c.needs_repair is False and self._scalar_rebuild
+            n > 0 and c.needs_repair for c, n in zip(placed, overlaps))
+        chunks = [(c, n) for c, n in zip(placed, overlaps)
+                  if n > 0 or (c.needs_repair is False and scalar
                                and range_has_missing)]
-        server_node = self._gather_node(
-            rt, pg, int(rt.rng.integers(self.config.n_nodes)))
 
         per_role: Counter[int] = Counter()
         for chunk, overlap in chunks:
@@ -795,8 +803,8 @@ class RCStor:
                 # just the requested overlap (Table 4: Stripe reads the full
                 # object for a degraded range read).
                 per_role[chunk.disk_index] += (
-                    chunk.data_bytes
-                    if self._scalar_rebuild and range_has_missing else overlap)
+                    chunk.data_bytes if scalar and range_has_missing
+                    else overlap)
         available_done = dict(zip(per_role, self._spawn_reads(
             rt, pg, [HelperRead(role, 1, nbytes, nbytes)
                      for role, nbytes in per_role.items()], priority)))
@@ -804,17 +812,18 @@ class RCStor:
         missing = [c for c, n in chunks if c.needs_repair and n > 0]
         missing_bytes = sum(c.stored_bytes for c in missing)
         repaired = env.event()
-        stats = Counter()
 
-        def repair_proc():
-            t0 = env.now
-            if missing and self._scalar_rebuild:
+        def repair():
+            if missing and scalar:
+                t_read = env.now
+                row = RepairProfile(failed_role, missing_bytes, (),
+                                    missing_bytes, decode=True)
                 sources = yield from self._scalar_row_reads(
-                    rt, pg, failed_role, per_role, available_done,
-                    missing_bytes, priority, hedge_s, stats)
+                    rt, pg, row, per_role, available_done, priority,
+                    hedge_s, stats)
                 yield from self._repair_tail(
-                    rt, "repair", t0, server_node, missing_bytes, sources,
-                    missing_bytes, False, not self.ecpipe)
+                    rt, "repair", t_read, server_node, missing_bytes,
+                    sources, row, not self.ecpipe)
             elif missing:
                 # Regenerating code: the missing strips' sub-chunk reads as
                 # one batched profile, so the ladder can re-pick / escalate
@@ -823,13 +832,8 @@ class RCStor:
                     rt, pg, self.profiles.batch(
                         failed_role, [c.stored_bytes for c in missing],
                         rt.invariants),
-                    False, server_node, priority, hedge_s, stats)
+                    server_node, priority, hedge_s, stats)
             repaired.succeed()
-            result.repair_time = env.now - t0
-            result.hedges_fired += stats["hedges_fired"]
-            result.hedge_wins += stats["hedge_wins"]
-            rt.span("repair", "repair", t0, env.now,
-                    missing_bytes=missing_bytes)
 
         def gate(chunk):
             if chunk.needs_repair:
@@ -838,17 +842,16 @@ class RCStor:
             read = available_done[chunk.disk_index]
             return None if read.triggered else read
 
-        env.process(repair_proc())
-        yield env.process(self._transfer(
-            rt, client, result,
-            ((i, overlap, gate(chunk))
-             for i, (chunk, overlap) in enumerate(chunks) if overlap)))
+        parts = ((i, overlap, gate(chunk))
+                 for i, (chunk, overlap) in enumerate(chunks) if overlap)
+        return repair(), parts, {"missing_bytes": missing_bytes}
 
     def _scalar_row_reads(self, rt: _Runtime, pg: PlacementGroup,
-                          failed_role: int, per_role: dict[int, int],
-                          available_done: dict, missing_bytes: int,
-                          priority: int, hedge_s: float | None, stats: dict):
-        """Sub-generator: the helper reads of a scalar row rebuild.
+                          row: RepairProfile, per_role: dict[int, int],
+                          available_done: dict, priority: int,
+                          hedge_s: float | None, stats: dict):
+        """Sub-generator: the helper reads of ``row``, the decode of a
+        scalar row rebuild's missing strips.
 
         The surviving strips are already being fetched for the client
         transfer (``available_done``); the rebuild adds the parity strips
@@ -859,6 +862,7 @@ class RCStor:
         plus the row-parity strip, hauled to the repair server.
         """
         k = self.config.k
+        failed_role, missing_bytes = row.failed_role, row.output_bytes
         parity = [k]
         if not self.code.is_mds:
             # LRC: needs k+1 responses (§6.1) — one more read.
@@ -866,24 +870,20 @@ class RCStor:
         primary = list(available_done.values()) + self._spawn_reads(
             rt, pg, [HelperRead(r, 1, missing_bytes, missing_bytes)
                      for r in parity], priority)
-        if hedge_s is None:
-            statuses = yield rt.env.all_of(primary)
-        else:
-            used = set(per_role).union(parity)
-            spares = [HelperRead(r, 1, missing_bytes, missing_bytes)
-                      for r in range(self.config.n)
-                      if r != failed_role and r not in used]
-            statuses = yield from self._fanout_race(
-                rt, pg, primary, spares, priority, hedge_s, stats)
+        used = set(per_role).union(parity)
+        spares = [HelperRead(r, 1, missing_bytes, missing_bytes)
+                  for r in range(self.config.n)
+                  if r != failed_role and r not in used]
+        statuses = yield from self._fanout_race(
+            rt, pg, primary, spares, priority, hedge_s, stats)
         if any(s != IO_OK for s in statuses):
             decode = self._decode_fallback(
-                RepairProfile(failed_role, missing_bytes, (), missing_bytes),
-                self._failed_roles(pg, rt.faults.failed_disks, failed_role),
-                1, rt.invariants)
+                row, self._failed_roles(pg, rt.faults.failed_disks,
+                                        failed_role), 1, rt.invariants)
             if decode is None:
                 raise self._unrecoverable()
-            yield from self._read_helpers(rt, pg, decode, True, priority,
-                                          None, stats)
+            yield from self._read_helpers(rt, pg, decode, priority, None,
+                                          stats)
         node_of = self.config.node_of
         return [(node_of(pg.disk_ids[role]), nbytes)
                 for role, nbytes in [*per_role.items(), (k, missing_bytes)]]
@@ -1001,9 +1001,8 @@ class RCStor:
         unchanged").
         """
         tasks: list[_RecoveryTask] = []
-        unit = self.config.recovery_weight_unit
+        unit = RECOVERY_WEIGHT_UNIT
         batch_target = 4 * MB
-        scalar = self._scalar_rebuild
         rotation = 0
         for pg, role, chunks, small in self.catalog.recovery_inventory(failed_disk):
             for size, count in sorted(chunks.items()):
@@ -1011,14 +1010,7 @@ class RCStor:
                 for done in range(0, count, per_batch):
                     m = min(per_batch, count - done)
                     profile = self.profiles.get(role, size).scaled(m)
-                    if scalar and m > 1:
-                        # Batched scalar reads are contiguous on disk.
-                        profile = RepairProfile(
-                            profile.failed_role, profile.chunk_size,
-                            tuple(type(h)(h.role, 1, h.nbytes, h.nbytes)
-                                  for h in profile.helpers),
-                            profile.output_bytes)
-                    if scalar and self.code.is_mds:
+                    if profile.decode and self.code.is_mds:
                         # Spread any-k-of-n repairs over all survivors.
                         profile = self._repick_profile(profile, set(),
                                                        rotation)
@@ -1026,7 +1018,7 @@ class RCStor:
                     if inv is not None:
                         inv.check_repair_profile(self.code, profile)
                     weight = max(1, round(profile.output_bytes / unit))
-                    tasks.append(_RecoveryTask(pg, profile, weight, is_rs=False))
+                    tasks.append(_RecoveryTask(pg, profile, weight))
             # RS-coded small-size-bucket, recovered in ~4 MB pieces.
             for done in range(0, small, batch_target):
                 piece = min(batch_target, small - done)
@@ -1036,7 +1028,7 @@ class RCStor:
                 if inv is not None:
                     inv.check_repair_profile(self.rs_profiles.code, profile)
                 weight = max(1, round(piece / unit))
-                tasks.append(_RecoveryTask(pg, profile, weight, is_rs=True))
+                tasks.append(_RecoveryTask(pg, profile, weight))
         return tasks
 
     def _finish_recovery(self, rt: _Runtime, meta: dict,
@@ -1125,11 +1117,11 @@ class RCStor:
                                           task.profile.failed_role)
         if not any(h.role in failed_roles for h in task.profile.helpers):
             return task
-        profile, is_rs = self._fallback_profile(
-            task.profile, task.is_rs, failed_roles, rotation, rt.invariants)
+        profile = self._fallback_profile(task.profile, failed_roles, rotation,
+                                         rt.invariants)
         if profile is None:
             return task
-        return replace(task, profile=profile, is_rs=is_rs)
+        return replace(task, profile=profile)
 
     def _run_task(self, rt: _Runtime, task: _RecoveryTask, server_node: int,
                   priority: int, failed_disks: set[int], pick_replacement,
@@ -1146,16 +1138,15 @@ class RCStor:
         env = rt.env
         track = f"server-{server_node}"
         t_task = env.now
-        profile, is_rs, attempts = yield from self._read_helpers(
-            rt, task.pg, task.profile, task.is_rs, priority, None, meta,
-            failed_disks, task.attempts)
+        profile, attempts = yield from self._read_helpers(
+            rt, task.pg, task.profile, priority, None, meta, failed_disks,
+            task.attempts)
         if profile is None:
             return ("abandon", None)
         yield from self._repair_tail(
             rt, track, t_task, self._gather_node(rt, task.pg, server_node),
             profile.total_read_bytes,
-            self._helper_sources(task.pg, profile),
-            profile.output_bytes, is_rs)
+            self._helper_sources(task.pg, profile), profile)
         dest = pick_replacement(task.pg)
         t_write = env.now
         wstatus = yield env.process(dest.write(1, profile.output_bytes,
@@ -1165,7 +1156,7 @@ class RCStor:
             if attempts + 1 >= MAX_REPAIR_ATTEMPTS:
                 return ("abandon", None)
             return ("requeue", _RecoveryTask(task.pg, profile, task.weight,
-                                             is_rs, attempts + 1))
+                                             attempts + 1))
         rt.span("write", track, t_write, env.now,
                 nbytes=profile.output_bytes, disk=dest.disk_id)
         rt.span("recovery_task", track, t_task, env.now,
@@ -1215,7 +1206,7 @@ class RCStor:
                 "tasks_abandoned": 0, "tasks_escalated": 0,
                 "hedged_retries": 0}
         limit = (weight_limit if weight_limit is not None
-                 else self.config.recovery_global_weight)
+                 else RECOVERY_GLOBAL_WEIGHT)
         # Timeline telemetry: handles hoisted out of the server loops (the
         # OBS601 lint forbids registry lookups in there) and gated on an
         # armed timeline, so plain runs register no extra metrics and their
@@ -1247,7 +1238,7 @@ class RCStor:
                 task = tasks[i]
                 if disk_id in task.pg:
                     tasks[i] = self._replan(rt, task, failed_disks, i + 1)
-                    if tasks[i].is_rs and not task.is_rs:
+                    if tasks[i].profile.decode and not task.profile.decode:
                         self._count_escalation(rt, meta)
 
         faults.on_disk_failure(on_crash)

@@ -45,13 +45,6 @@ class ClusterConfig:
     n_pgs: int = 768
     pg_seed: int = 1
     client_gbps: float = 1.0
-    #: §5.1 "Paralleled Recovery": weight unit and per-server weight cap.
-    recovery_weight_unit: int = 4 * (1 << 20)
-    recovery_global_weight: int = 512
-    #: Fixed per-chunk-repair software cost: request fan-out, response
-    #: synchronisation, HTTP-server overhead ("I/O latency, synchronization,
-    #: software, etc." — §6.3 on W2 repair times).
-    repair_rpc_overhead: float = 0.002
     #: Foreground (busy-system) load shape: per-disk read size and target
     #: disk utilization (§6.2 Methodology; set per workload).
     foreground_read_bytes: int = 32 * (1 << 20)
@@ -64,12 +57,11 @@ class ClusterConfig:
     #: destination NIC and the ToR/aggregation knobs are inert.  With more
     #: racks, cross-rack transfers serialise through per-rack ToR uplinks
     #: (``tor_gbps``) and a shared aggregation link whose bandwidth is
-    #: ``agg_gbps`` when set, else derived from the oversubscription ratio
-    #: (total ToR uplink capacity / aggregation capacity).
+    #: derived from the oversubscription ratio (total ToR uplink capacity
+    #: / aggregation capacity).
     n_racks: int = 1
     nodes_per_rack: int = 0  # 0 = derived: ceil(n_nodes / n_racks)
     tor_gbps: float = 40.0
-    agg_gbps: float = 0.0    # 0 = derived: n_racks * tor_gbps / oversub
     oversubscription: float = 1.0
     #: Placement-policy name (see :mod:`repro.cluster.placement`).
     placement: str = "flat_random"
@@ -95,8 +87,6 @@ class ClusterConfig:
                 raise ValueError(
                     f"oversubscription {self.oversubscription} must be >= 1 "
                     "(1 = non-blocking)")
-            if self.agg_gbps < 0:
-                raise ValueError("agg_gbps must be >= 0 (0 = derived)")
 
     @property
     def n(self) -> int:
@@ -138,13 +128,8 @@ class ClusterConfig:
 
     @property
     def agg_bandwidth(self) -> float:
-        """Aggregation-link bandwidth in bytes/second.
-
-        Explicit ``agg_gbps`` wins; otherwise the link is sized so that
-        ``total ToR uplink capacity / agg capacity == oversubscription``.
-        """
-        if self.agg_gbps:
-            return self.agg_gbps * _GBPS
+        """Aggregation-link bandwidth in bytes/second, sized so that
+        ``total ToR uplink capacity / agg capacity == oversubscription``."""
         return self.n_racks * self.tor_bandwidth / self.oversubscription
 
 

@@ -135,7 +135,7 @@ def io_priority_ablation(setting: WorkloadSetting = W1_SETTING,
                          n_objects: int = 1200, n_requests: int = 12,
                          scheme: str | None = None,
                          seed: int = 0) -> PriorityAblation:
-    scheme = scheme or f"Geo-{'4M' if setting.name == 'W1' else '128K'}"
+    scheme = scheme or setting.geo_default
     sizes = sample_workload(setting, n_objects, seed)
     config = cluster_config(setting, n_objects)
     system = build_system(scheme, setting, config)
@@ -160,7 +160,7 @@ def global_weight_sweep(setting: WorkloadSetting = W1_SETTING,
                         n_objects: int = 1500, scheme: str | None = None,
                         seed: int = 0) -> list[tuple[int, float]]:
     """(weight_limit, recovery makespan) pairs — concurrency saturates."""
-    scheme = scheme or f"Geo-{'4M' if setting.name == 'W1' else '128K'}"
+    scheme = scheme or setting.geo_default
     sizes = sample_workload(setting, n_objects, seed)
     config = cluster_config(setting, n_objects)
     system = build_system(scheme, setting, config)
@@ -177,7 +177,7 @@ def pg_count_sweep(setting: WorkloadSetting = W1_SETTING,
                    n_objects: int = 1500, scheme: str | None = None,
                    seed: int = 0) -> list[tuple[int, float]]:
     """(n_pgs, recovery rate) — more PGs recruit more disks (§5.1)."""
-    scheme = scheme or f"Geo-{'4M' if setting.name == 'W1' else '128K'}"
+    scheme = scheme or setting.geo_default
     sizes = sample_workload(setting, n_objects, seed)
     out = []
     for n_pgs in pg_counts:

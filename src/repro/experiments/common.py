@@ -54,6 +54,11 @@ class WorkloadSetting:
         names += ["Stripe", "Stripe-Max", "RS", "LRC", "HH", "ECPipe"]
         return names
 
+    @property
+    def geo_default(self) -> str:
+        """Label of the workload's default Geometric scheme."""
+        return f"Geo-{_label(self.geo_default_s0)}"
+
 
 def _label(nbytes: int) -> str:
     if nbytes >= MB:

@@ -47,7 +47,7 @@ def run(setting: WorkloadSetting = W1_SETTING,
         scheme: str | None = None, n_objects: int = 1500,
         n_requests: int = 25, seed: int = 0) -> list[BandwidthRow]:
     """Run the experiment; returns its result rows."""
-    scheme = scheme or f"Geo-{'4M' if setting.name == 'W1' else '128K'}"
+    scheme = scheme or setting.geo_default
     sizes = sample_workload(setting, n_objects, seed)
     targets = request_size_targets(setting, sizes, n_requests, seed + 1)
     rows: list[BandwidthRow] = []

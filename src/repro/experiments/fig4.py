@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.cluster import DEFAULT_CODEC, HDD, ProfileCache
 from repro.cluster.disk import DiskModel
+from repro.cluster.rcstor import REPAIR_RPC_OVERHEAD
 from repro.codes import ClayCode
 from repro.core.pipeline import PipelineStep, degraded_read_time
 from repro.experiments.common import format_table
@@ -54,9 +55,6 @@ def recovery_bandwidth(chunk_size: int, code: ClayCode | None = None,
     return len(cases) / inv_sum * 1.0 if inv_sum else 0.0
 
 
-#: Per-chunk-repair software overhead (fan-out, sync; matches
-#: ClusterConfig.repair_rpc_overhead).
-RPC_OVERHEAD = 0.002
 #: Datacenter NIC goodput used for the repair gather step.
 NIC_BW = 50 * 125 * MB
 
@@ -70,7 +68,7 @@ def chunk_repair_time(chunk_size: int, failed: int, code: ClayCode,
                for h in profile.helpers)
     gather = profile.total_read_bytes / NIC_BW
     return (read + gather + DEFAULT_CODEC.regenerate_time(profile.output_bytes)
-            + RPC_OVERHEAD)
+            + REPAIR_RPC_OVERHEAD)
 
 
 def degraded_read_64mb(chunk_size: int, code: ClayCode | None = None,

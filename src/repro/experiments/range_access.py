@@ -39,7 +39,7 @@ class RangeRow:
 
 def default_schemes(setting: WorkloadSetting) -> list[str]:
     """The scheme labels this experiment compares."""
-    geo = f"Geo-{'4M' if setting.name == 'W1' else '128K'}"
+    geo = setting.geo_default
     con = f"Con-{'16M' if setting.name == 'W1' else '128K'}"
     return [geo, con, "Stripe-Max"]
 

@@ -46,7 +46,7 @@ class LayoutSummaryRow:
 
 def _scheme_for(layout_name: str, setting: WorkloadSetting) -> str:
     return {
-        "Geometric": f"Geo-{'4M' if setting.name == 'W1' else '128K'}",
+        "Geometric": setting.geo_default,
         "Stripe": "Stripe",
         "Contiguous": f"Con-{'64M' if setting.name == 'W1' else '512K'}",
     }[layout_name]

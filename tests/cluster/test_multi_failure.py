@@ -93,7 +93,7 @@ def test_shared_pgs_fall_back_to_full_decode(system):
     tasks = _shared_pg_tasks(system, (d1, d2))
     assert tasks, "the two disks share a PG, so decode tasks must exist"
     for task in tasks:
-        assert task.is_rs  # full decode path, not regenerating repair
+        assert task.profile.decode  # full decode, not regenerating repair
         assert len(task.profile.helpers) == system.config.k
         for helper in task.profile.helpers:
             assert helper.nbytes == task.profile.output_bytes  # full chunks

@@ -165,9 +165,6 @@ def test_oversubscription_derives_agg_bandwidth():
                            oversubscription=2.0)
     # 4 racks x 10 Gbps / 2:1 = 20 Gbps of aggregation capacity.
     assert config.agg_bandwidth == pytest.approx(20 * GBPS)
-    explicit = ClusterConfig(n_nodes=16, n_racks=4, tor_gbps=10.0,
-                             agg_gbps=5.0, oversubscription=2.0)
-    assert explicit.agg_bandwidth == pytest.approx(5 * GBPS)
 
 
 def test_cross_rack_transfer_charges_the_whole_chain():

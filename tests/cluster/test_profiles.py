@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cluster import ProfileCache
+from repro.cluster import ClusterConfig, ProfileCache, RCStor
 from repro.codes import ClayCode, HitchhikerCode, LRCCode, RSCode
+from repro.core import GeometricLayout
 
 MB = 1 << 20
 
@@ -76,3 +77,44 @@ def test_scaled_profile():
     assert p.scaled(1) is p
     with pytest.raises(ValueError):
         p.scaled(0)
+
+
+@pytest.mark.parametrize("code, decode", [
+    (RSCode(10, 4), True), (LRCCode(10, 2, 2), True),
+    (ClayCode(10, 4), False), (HitchhikerCode(10, 4), False),
+], ids=["RS", "LRC", "Clay", "HH"])
+def test_profile_kind_follows_the_code(code, decode):
+    """Scalar codes rebuild whole chunks (decode); vector codes regenerate
+    from sub-chunks."""
+    cache = ProfileCache(code)
+    assert cache.decode is decode
+    assert cache.get(0, 4 * MB).decode is decode
+    assert cache.batch(0, [MB, 2 * MB]).decode is decode
+
+
+def test_decode_fallback_reads_k_whole_chunks():
+    system = RCStor(ClusterConfig(n_pgs=32), GeometricLayout(4 * MB),
+                    ClayCode(10, 4))
+    regenerating = system.profiles.get(0, 4 * MB)
+    assert not regenerating.decode
+    fallback = system._decode_fallback(regenerating, {1}, rotation=0)
+    assert fallback.decode
+    assert len(fallback.helpers) == 10
+    assert all(h.n_ios == 1 and h.nbytes == h.span == 4 * MB
+               for h in fallback.helpers)
+    assert {h.role for h in fallback.helpers}.isdisjoint({0, 1})
+
+
+@pytest.mark.parametrize("code", [RSCode(10, 4), LRCCode(10, 2, 2)],
+                         ids=["RS", "LRC"])
+def test_scaled_decode_profile_reads_each_helper_in_one_io(code):
+    """Batched whole chunks are contiguous on disk."""
+    p = ProfileCache(code).get(0, 256 * 1024)
+    s = p.scaled(16)
+    assert s.decode
+    assert s.output_bytes == 16 * p.output_bytes
+    assert [h.role for h in s.helpers] == [h.role for h in p.helpers]
+    for h, one in zip(s.helpers, p.helpers):
+        assert h.n_ios == 1
+        assert h.nbytes == h.span == 16 * one.nbytes
+    assert p.scaled(1) is p
