@@ -3,11 +3,13 @@
 from paper_report import emit
 
 from repro.experiments import ablations
-from repro.experiments.common import format_table
+from repro.experiments.common import format_table, run_at_seed
 
 
 def test_ablation_partitioning_and_frontcut(benchmark):
-    text = benchmark.pedantic(lambda: ablations.to_text(), rounds=1, iterations=1)
+    text = benchmark.pedantic(
+        lambda: ablations.render(run_at_seed(ablations.scenarios("W1"))),
+        rounds=1, iterations=1)
     emit("Ablations: Algorithm 1, front cut, ECPipe", text)
     assert "Algorithm 1" in text
 

@@ -3,21 +3,21 @@
 from paper_report import emit
 
 from repro.experiments import breakdown
-from repro.experiments.common import W1_SETTING, W2_SETTING
+from repro.experiments.common import run_at_seed
+from repro.runner import typed_rows
 
 MB = 1 << 20
 
 
 def test_breakdown_small_buckets(benchmark):
     def both():
-        return (breakdown.run(W1_SETTING, n_objects=10_000),
-                breakdown.run(W2_SETTING, n_objects=20_000))
+        return (run_at_seed(breakdown.scenarios("W1", n_objects=10_000)),
+                run_at_seed(breakdown.scenarios("W2", n_objects=20_000)))
 
     w1, w2 = benchmark.pedantic(both, rounds=1, iterations=1)
     emit("§6.3 breakdown",
-         breakdown.to_text(w1, W1_SETTING) + "\n\n"
-         + breakdown.to_text(w2, W2_SETTING))
-    w1_rows = {r.scheme: r for r in w1}
+         breakdown.render(w1) + "\n\n" + breakdown.render(w2))
+    w1_rows = {r.scheme: r for r in typed_rows(w1, breakdown.BreakdownRow)}
     # Larger s0 -> larger small-size-bucket share and larger chunks.
     assert (w1_rows["Geo-1M"].small_bucket_share
             < w1_rows["Geo-4M"].small_bucket_share

@@ -3,15 +3,17 @@
 from paper_report import emit
 
 from repro.experiments import tradeoff
-from repro.experiments.common import W1_SETTING
+from repro.experiments.common import run_at_seed
 
 
 def test_fig9_w1_tradeoff(benchmark):
-    result = benchmark.pedantic(
-        lambda: tradeoff.run(W1_SETTING, n_objects=2500, n_requests=15),
+    results = benchmark.pedantic(
+        lambda: run_at_seed(tradeoff.scenarios("W1", n_objects=2500,
+                                               n_requests=15)),
         rounds=1, iterations=1)
     emit("Figure 9: W1 recovery vs degraded read (idle + busy)",
-         tradeoff.to_text(result))
+         tradeoff.render(results))
+    result = tradeoff.from_results(results)
     per_byte = {r.scheme: r.recovery_time / r.repaired_bytes
                 for r in result.results}
     geo = per_byte["Geo-4M"]

@@ -1,6 +1,6 @@
 """Runtime invariant checking, hooked through the :mod:`repro.obs` observer.
 
-Three invariant families, all opt-in (``--check-invariants`` on the
+Four invariant families, all opt-in (``--check-invariants`` on the
 experiment CLI, or :func:`attach_invariant_checker` in code):
 
 * **Monotonic sim clock** — every event the engine schedules must land at
@@ -15,17 +15,17 @@ experiment CLI, or :func:`attach_invariant_checker` in code):
   consumes is checked against the theoretical repair bandwidth of its code:
   ``k * chunk`` for RS-style any-k repairs and ``chunk * (n-1)/r`` for
   Clay's optimal d = n-1 repair, with a generic fall-back to the code's own
-  byte-exact :meth:`repair_plan`.  :meth:`verify_codec_roundtrip` checks the
-  literal property on real bytes: repairing from exactly the planned reads
-  reproduces the lost chunk.
+  byte-exact :meth:`repair_plan`.  (That repairing from exactly the planned
+  reads reproduces the lost chunk is a property of the codes, tested on
+  real bytes under ``tests/codes``.)
+* **Recovery task conservation** — at the end of every recovery run each
+  queued task has completed or been explicitly abandoned.
 
 Violations raise :class:`InvariantViolation` immediately — a skewed number
 must fail the run, not decorate a report.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class InvariantViolation(AssertionError):
@@ -48,7 +48,6 @@ class InvariantChecker:
             "profile_checks": 0,
             "resources_registered": 0,
             "resources_audited": 0,
-            "codec_roundtrips": 0,
             "task_conservation_checks": 0,
         }
 
@@ -180,41 +179,6 @@ class InvariantChecker:
                 f"(requeued {meta.get('tasks_requeued', 0)}) — task(s) "
                 "were silently lost")
 
-    def verify_codec_roundtrip(self, code, chunk_size: int,
-                               seed: int = 0) -> None:
-        """Byte-level conservation on real data: encode a stripe, erase
-        each node in turn, repair from exactly the planned bytes, and
-        require bit-identical recovery (plus a full multi-erasure decode).
-        """
-        from repro.codes.base import extract_reads
-
-        rng = np.random.default_rng(seed)
-        data = [rng.integers(0, 256, chunk_size, dtype=np.uint8)
-                for _ in range(code.k)]
-        stripe = code.encode_stripe(data)
-        chunks = dict(enumerate(stripe))
-        for failed in range(code.n):
-            plan = code.repair_plan(failed, chunk_size)
-            reads = extract_reads(plan, chunks)
-            read_bytes = sum(arr.shape[0] for arr in reads.values())
-            if read_bytes != plan.total_read_bytes:
-                raise InvariantViolation(
-                    f"{code.name}: extracted {read_bytes} bytes but the "
-                    f"plan names {plan.total_read_bytes}")
-            repaired = code.repair(failed, reads, chunk_size)
-            if not np.array_equal(repaired, stripe[failed]):
-                raise InvariantViolation(
-                    f"{code.name}: repair of role {failed} from planned "
-                    "bytes does not reproduce the lost chunk")
-        erased = list(range(code.r))
-        available = {i: c for i, c in chunks.items() if i not in set(erased)}
-        decoded = code.decode(available, erased, chunk_size)
-        for node in erased:
-            if not np.array_equal(decoded[node], stripe[node]):
-                raise InvariantViolation(
-                    f"{code.name}: decode does not reproduce chunk {node}")
-        self.stats["codec_roundtrips"] += 1
-
     # ------------------------------------------------------------------
     def report(self) -> str:
         """One-line human summary of everything checked."""
@@ -224,7 +188,6 @@ class InvariantChecker:
                 f"{s['schedule_checks']} schedule checks, "
                 f"{s['resources_audited']} resources audited "
                 f"({s['resources_registered']} registered), "
-                f"{s['codec_roundtrips']} codec round-trips, "
                 f"{s['task_conservation_checks']} task-conservation "
                 "checks, 0 leaked grants, 0 lost tasks")
 

@@ -241,68 +241,14 @@ def ecpipe_network_model(strip_size: int = 64 * MB, k: int = 10,
     return rows
 
 
-def to_text(setting: WorkloadSetting = W1_SETTING, seed: int = 0) -> str:
-    """Run the cheap ablations and render a combined report."""
-    part = two_pass_vs_greedy(setting, n_objects=600, seed=seed)
-    front = front_cut_ablation(setting, n_objects=600, seed=seed)
-    ecp = [{"packet": p, "star_s": s, "ecpipe_s": e, "speedup": sp}
-           for p, s, e, sp in ecpipe_network_model()]
-    return render_report(part, front, ecp, msr_vs_mbr_tradeoff())
-
-
-def render_report(part: PartitioningAblation, front: FrontCutAblation,
-                  ecp: list[dict],
-                  msr: list[RegeneratingTradeoffRow]) -> str:
-    """Pure rendering of the combined ablation report."""
-    sections = [
-        "Two-pass scan vs greedy partitioning:",
-        format_table(
-            ["Variant", "Max adj. ratio", "Degraded (ms)", "Chunks/obj"],
-            [["Algorithm 1", round(part.mean_adjacent_ratio_two_pass, 2),
-              round(part.mean_degraded_ms_two_pass), round(part.mean_chunks_two_pass, 1)],
-             ["Greedy", round(part.mean_adjacent_ratio_greedy, 2),
-              round(part.mean_degraded_ms_greedy), round(part.mean_chunks_greedy, 1)]]),
-        "\nFront cut vs padding:",
-        format_table(
-            ["Variant", "Read amplification", "Capacity overhead"],
-            [["RS front cut", round(front.read_amplification_with_cut, 3), "0%"],
-             ["Padded front", round(front.read_amplification_without_cut, 3),
-              f"{front.capacity_overhead_without_cut * 100:.1f}%"]]),
-        "\nECPipe at 1 Gbps links (64 MB strip, k=10):",
-        format_table(
-            ["Packet", "Star (s)", "ECPipe (s)", "Speedup"],
-            [[f"{r['packet'] // KB}KB" if r['packet'] < MB
-              else f"{r['packet'] // MB}MB",
-              round(r['star_s'], 2), round(r['ecpipe_s'], 2),
-              f"{r['speedup']:.1f}x"] for r in ecp]),
-        "\nRegenerating-code trade-off (why the paper picks MSR):",
-        format_table(
-            ["Code", "Storage", "Repair traffic / lost byte", "alpha"],
-            [[t.code, f"{t.storage_overhead * 100:.0f}%",
-              round(t.repair_traffic_per_lost_byte, 2), t.sub_packetization]
-             for t in msr]),
-    ]
-    return "\n".join(sections)
-
-
-def priority_table(prio: PriorityAblation) -> str:
-    """The CLI's io-priority addendum to the combined report."""
-    return "IO priority lanes during recovery:\n" + format_table(
-        ["Recovery priority", "Degraded (ms)"],
-        [["background (RCStor)", round(prio.degraded_ms_with_priority)],
-         ["foreground (ablated)", round(prio.degraded_ms_without_priority)]])
-
-
-def compute_partitioning(setting: str = "W1", n_objects: int = 600,
-                         seed: int = 0) -> dict:
+def compute_partitioning(setting: str, n_objects: int, seed: int = 0) -> dict:
     """Scenario compute: the two-pass vs greedy comparison."""
     row = two_pass_vs_greedy(setting_by_name(setting), n_objects=n_objects,
                              seed=seed)
     return {"rows": rows_of([row])}
 
 
-def compute_front_cut(setting: str = "W1", n_objects: int = 600,
-                      seed: int = 0) -> dict:
+def compute_front_cut(setting: str, n_objects: int, seed: int = 0) -> dict:
     """Scenario compute: front cut vs padded front."""
     row = front_cut_ablation(setting_by_name(setting), n_objects=n_objects,
                              seed=seed)
@@ -320,8 +266,7 @@ def compute_msr_mbr() -> dict:
     return {"rows": rows_of(msr_vs_mbr_tradeoff())}
 
 
-def compute_io_priority(setting: str = "W1", n_objects: int = 1000,
-                        seed: int = 0) -> dict:
+def compute_io_priority(setting: str, n_objects: int, seed: int = 0) -> dict:
     """Scenario compute: degraded reads during recovery, both lanes."""
     row = io_priority_ablation(setting_by_name(setting), n_objects=n_objects,
                                seed=seed)
@@ -344,14 +289,46 @@ def scenarios(setting: str = "W1",
 
 
 def render(results: list[ExperimentResult]) -> str:
+    """The combined ablation report, one table per unit."""
     by_name = {r.name.rsplit("/", 1)[-1]: r for r in results}
     part = typed_rows([by_name["two-pass"]], PartitioningAblation)[0]
     front = typed_rows([by_name["front-cut"]], FrontCutAblation)[0]
+    msr = typed_rows([by_name["msr-mbr"]], RegeneratingTradeoffRow)
     prio = typed_rows([by_name["io-priority"]], PriorityAblation)[0]
-    return (render_report(part, front, by_name["ecpipe"].rows,
-                          typed_rows([by_name["msr-mbr"]],
-                                     RegeneratingTradeoffRow))
-            + "\n\n" + priority_table(prio))
+    sections = [
+        "Two-pass scan vs greedy partitioning:",
+        format_table(
+            ["Variant", "Max adj. ratio", "Degraded (ms)", "Chunks/obj"],
+            [["Algorithm 1", round(part.mean_adjacent_ratio_two_pass, 2),
+              round(part.mean_degraded_ms_two_pass), round(part.mean_chunks_two_pass, 1)],
+             ["Greedy", round(part.mean_adjacent_ratio_greedy, 2),
+              round(part.mean_degraded_ms_greedy), round(part.mean_chunks_greedy, 1)]]),
+        "\nFront cut vs padding:",
+        format_table(
+            ["Variant", "Read amplification", "Capacity overhead"],
+            [["RS front cut", round(front.read_amplification_with_cut, 3), "0%"],
+             ["Padded front", round(front.read_amplification_without_cut, 3),
+              f"{front.capacity_overhead_without_cut * 100:.1f}%"]]),
+        "\nECPipe at 1 Gbps links (64 MB strip, k=10):",
+        format_table(
+            ["Packet", "Star (s)", "ECPipe (s)", "Speedup"],
+            [[f"{r['packet'] // KB}KB" if r['packet'] < MB
+              else f"{r['packet'] // MB}MB",
+              round(r['star_s'], 2), round(r['ecpipe_s'], 2),
+              f"{r['speedup']:.1f}x"] for r in by_name["ecpipe"].rows]),
+        "\nRegenerating-code trade-off (why the paper picks MSR):",
+        format_table(
+            ["Code", "Storage", "Repair traffic / lost byte", "alpha"],
+            [[t.code, f"{t.storage_overhead * 100:.0f}%",
+              round(t.repair_traffic_per_lost_byte, 2), t.sub_packetization]
+             for t in msr]),
+        "\nIO priority lanes during recovery:",
+        format_table(
+            ["Recovery priority", "Degraded (ms)"],
+            [["background (RCStor)", round(prio.degraded_ms_with_priority)],
+             ["foreground (ablated)", round(prio.degraded_ms_without_priority)]]),
+    ]
+    return "\n".join(sections)
 
 
 def local_regeneration_tradeoff() -> list[RegeneratingTradeoffRow]:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.partitioning import GeometricPartitioner
 from repro.experiments.common import (
-    W1_SETTING,
-    WorkloadSetting,
+    _label,
     format_table,
     sample_workload,
     setting_by_name,
@@ -33,43 +32,26 @@ class BreakdownRow:
     average_chunk_size: float
 
 
-def run(setting: WorkloadSetting = W1_SETTING, n_objects: int = 20_000,
-        seed: int = 0) -> list[BreakdownRow]:
-    """Run the experiment; returns its result rows."""
-    sizes = sample_workload(setting, n_objects, seed)
+def compute(setting: str, n_objects: int, seed: int = 0) -> dict:
+    """Scenario compute: all s0 variants' breakdown rows (analytic pass)."""
+    st = setting_by_name(setting)
+    sizes = sample_workload(st, n_objects, seed)
     rows: list[BreakdownRow] = []
     total = float(sizes.sum())
-    for s0 in setting.geo_s0_variants:
-        partitioner = GeometricPartitioner(s0, 2, setting.max_chunk_size)
+    for s0 in st.geo_s0_variants:
+        partitioner = GeometricPartitioner(s0, 2, st.max_chunk_size)
         front = chunk_bytes = chunks = 0
         for size in sizes:
             part = partitioner.partition(int(size))
             front += part.front
             chunk_bytes += part.partitioned_bytes
             chunks += part.n_chunks
-        label = f"Geo-{s0 // MB}M" if s0 >= MB else f"Geo-{s0 // KB}K"
-        rows.append(BreakdownRow(label, front / total,
+        rows.append(BreakdownRow(f"Geo-{_label(s0)}", front / total,
                                  chunk_bytes / chunks if chunks else 0.0))
     # Stripe-Max: one strip of size/k per disk; no small-size-buckets.
     k = 10
     strip_chunks = sum(min(k, int(size)) for size in sizes)
     rows.append(BreakdownRow("Stripe-Max", 0.0, total / strip_chunks))
-    return rows
-
-
-def to_text(rows: list[BreakdownRow], setting: WorkloadSetting = W1_SETTING) -> str:
-    """Render the result as a paper-style text table."""
-    unit, label = (MB, "MB") if setting.name == "W1" else (KB, "KB")
-    return format_table(
-        ["Scheme", "Small-size-bucket share", f"Avg chunk size ({label})"],
-        [[r.scheme, f"{r.small_bucket_share * 100:.1f}%",
-          round(r.average_chunk_size / unit, 1)] for r in rows])
-
-
-def compute(setting: str = "W1", n_objects: int = 20_000,
-            seed: int = 0) -> dict:
-    """Scenario compute: all s0 variants' breakdown rows (analytic pass)."""
-    rows = run(setting_by_name(setting), n_objects=n_objects, seed=seed)
     return {"rows": rows_of(rows), "meta": {"setting": setting}}
 
 
@@ -80,5 +62,11 @@ def scenarios(setting: str = "W1",
 
 
 def render(results: list[ExperimentResult]) -> str:
-    setting = setting_by_name(results[0].meta["setting"])
-    return to_text(typed_rows(results, BreakdownRow), setting)
+    """Paper-style table; chunk sizes in MB on W1 and KB on W2."""
+    unit, label = ((MB, "MB") if results[0].meta["setting"] == "W1"
+                   else (KB, "KB"))
+    return format_table(
+        ["Scheme", "Small-size-bucket share", f"Avg chunk size ({label})"],
+        [[r.scheme, f"{r.small_bucket_share * 100:.1f}%",
+          round(r.average_chunk_size / unit, 1)]
+         for r in typed_rows(results, BreakdownRow)])

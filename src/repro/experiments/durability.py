@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codes import ClayCode, LRCCode, RSCode
 from repro.experiments import tradeoff
-from repro.experiments.common import W1_SETTING, WorkloadSetting, format_table
-from repro.experiments.tradeoff import TradeoffResult, run as run_tradeoff
+from repro.experiments.common import (
+    W1_SETTING,
+    build_system,
+    cluster_config,
+    format_table,
+    setting_by_name,
+)
+from repro.experiments.tradeoff import TradeoffResult
 from repro.runner import ExperimentResult, Scenario
 from repro.reliability import (
     ReliabilityParams,
@@ -27,6 +32,12 @@ from repro.reliability.markov import durability_nines
 #: report 2-4% in the field; we take 2%).
 AFR = 0.02
 
+#: The schemes the reliability model compares.
+SCHEMES = [W1_SETTING.geo_default, "RS", "LRC"]
+
+#: Independent placement groups of the modelled system.
+N_GROUPS = 10_000
+
 
 @dataclass(frozen=True)
 class DurabilityRow:
@@ -36,31 +47,34 @@ class DurabilityRow:
     nines: float
 
 
-def run(setting: WorkloadSetting = W1_SETTING, n_objects: int = 2000,
-        n_groups: int = 10_000, seed: int = 0,
-        tradeoff_result: TradeoffResult | None = None) -> list[DurabilityRow]:
-    """Run the experiment; returns its result rows."""
-    schemes = {"Geo-4M": ClayCode(10, 4), "RS": RSCode(10, 4),
-               "LRC": LRCCode(10, 2, 2)}
-    result = tradeoff_result or run_tradeoff(
-        setting, n_objects=n_objects, n_requests=4,
-        schemes=list(schemes), include_busy=False, seed=seed)
+def from_tradeoff(result: TradeoffResult) -> list[DurabilityRow]:
+    """Apply the (deterministic) Markov model to the measured recoveries of
+    :data:`SCHEMES`, each with the code its system is built with."""
+    setting = setting_by_name(result.setting_name)
+    config = cluster_config(setting, result.n_objects)
     rows = []
-    for scheme, code in schemes.items():
-        r = result.by_scheme(scheme)
-        repair_hours = r.recovery_time_paper_scale / 3600.0
-        q = tuple(fatal_probabilities_for_code(code))
+    for scheme in SCHEMES:
+        repair_hours = (result.by_scheme(scheme).recovery_time_paper_scale
+                        / 3600.0)
+        code = build_system(scheme, setting, config).code
         params = ReliabilityParams(
             n_disks=14, afr=AFR, repair_hours=repair_hours,
-            fatal_probabilities=q)
-        mttdl = system_mttdl(params, n_groups)
+            fatal_probabilities=tuple(fatal_probabilities_for_code(code)))
+        mttdl = system_mttdl(params, N_GROUPS)
         rows.append(DurabilityRow(scheme, repair_hours, mttdl,
                                   durability_nines(mttdl)))
     return rows
 
 
+def scenarios(n_objects: int | None = None) -> list[Scenario]:
+    """The recovery measurements the reliability model feeds on."""
+    return tradeoff.scenarios(
+        "W1", n_objects=n_objects if n_objects is not None else 2000,
+        n_requests=4, schemes=SCHEMES, include_busy=False)
+
+
 def to_text(rows: list[DurabilityRow]) -> str:
-    """Render the result as a paper-style text table."""
+    """Render the rows as a paper-style text table."""
     table = format_table(
         ["Scheme", "Recovery (h, paper scale)", "System MTTDL (h)",
          "Annual durability (nines)"],
@@ -70,13 +84,6 @@ def to_text(rows: list[DurabilityRow]) -> str:
             "LRC additionally pays for its unrecoverable 4-failure patterns.")
 
 
-def scenarios(n_objects: int | None = None) -> list[Scenario]:
-    """The three recovery measurements the reliability model feeds on."""
-    return tradeoff.scenarios(
-        "W1", n_objects=n_objects if n_objects is not None else 2000,
-        n_requests=4, schemes=["Geo-4M", "RS", "LRC"], include_busy=False)
-
-
 def render(results: list[ExperimentResult]) -> str:
-    """Apply the (deterministic) Markov model to the measured recoveries."""
-    return to_text(run(tradeoff_result=tradeoff.from_results(results)))
+    """The durability table from W1 tradeoff units holding :data:`SCHEMES`."""
+    return to_text(from_tradeoff(tradeoff.from_results(results)))

@@ -138,8 +138,9 @@ def fleet_config(n_disks: int, policy: str, pg_seed: int) -> ClusterConfig:
         placement=policy, pg_seed=pg_seed)
 
 
-def calibrate_repair_hours(scheme: str, n_objects: int, seed: int) -> float:
-    """Measured recovery time of one fleet-class disk for ``scheme``.
+def calibrate_scheme(scheme: str, n_objects: int, seed: int):
+    """The code ``scheme``'s system is built with, and that system's
+    measured recovery time of one fleet-class disk (hours).
 
     A real cluster-simulator recovery run, rescaled first to the paper's
     per-disk capacity (recovery time is linear in per-disk bytes at
@@ -150,7 +151,7 @@ def calibrate_repair_hours(scheme: str, n_objects: int, seed: int) -> float:
     system.ingest(sample_workload(ws, n_objects, seed))
     report = system.run_recovery(0, seed=seed + 1)
     paper_s = scale_to_paper(report.makespan, ws, report.repaired_bytes)
-    return paper_s / 3600.0 * CAPACITY_SCALE
+    return system.code, paper_s / 3600.0 * CAPACITY_SCALE
 
 
 def compute_frontier(scheme: str, policy: str, rep: int,
@@ -160,9 +161,7 @@ def compute_frontier(scheme: str, policy: str, rep: int,
                      speedups=SPEEDUPS, n_objects: int = 600,
                      seed: int = 0) -> dict:
     """Scenario compute: calibrate one scheme, then sweep repair speed."""
-    base_hours = calibrate_repair_hours(scheme, n_objects, seed)
-    ws = setting_by_name("W1")
-    code = build_system(scheme, ws, cluster_config(ws, n_objects)).code
+    code, base_hours = calibrate_scheme(scheme, n_objects, seed)
     q = tuple(fatal_probabilities_for_code(code))
     sim = FleetSim.from_cluster(fleet_config(n_disks, policy, rep + 1),
                                 obs=get_default_observer())

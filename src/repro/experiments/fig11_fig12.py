@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.experiments.common import (
     WorkloadSetting,
-    W1_SETTING,
+    _label,
     build_system,
     cluster_config,
     format_table,
@@ -47,61 +47,38 @@ class LatencyRow:
 
 
 def default_schemes(setting: WorkloadSetting) -> list[str]:
-    """The scheme labels this experiment compares."""
-    geo = [f"Geo-{s}" for s in ([ "1M", "16M"] if setting.name == "W1"
-                                else ["128K", "256K"])]
-    con = [f"Con-{c // MB}M" if c >= MB else f"Con-{c // KB}K"
-           for c in setting.contiguous_variants]
-    return geo + con + ["Stripe", "Stripe-Max"]
+    """The scheme labels this experiment compares: the smallest and the
+    largest Geometric s0, every contiguous chunk size, and both stripes."""
+    geo = (setting.geo_s0_variants[0], setting.geo_s0_variants[-1])
+    return ([f"Geo-{_label(s0)}" for s0 in geo]
+            + [f"Con-{_label(c)}" for c in setting.contiguous_variants]
+            + ["Stripe", "Stripe-Max"])
 
 
-def run(setting: WorkloadSetting = W1_SETTING,
-        target_sizes: tuple[int, ...] | None = None,
-        schemes: list[str] | None = None,
-        n_objects: int = 1500, n_probes: int = 24, busy: bool = False,
-        seed: int = 0) -> list[LatencyRow]:
-    """Run the experiment; returns its result rows."""
-    if target_sizes is None:
-        target_sizes = (W1_TARGET_SIZES if setting.name == "W1"
-                        else W2_TARGET_SIZES)
-    schemes = schemes or default_schemes(setting)
-    background = sample_workload(setting, n_objects, seed)
-    config = cluster_config(setting, n_objects)
-    rows: list[LatencyRow] = []
-    for scheme in schemes:
-        system = build_system(scheme, setting, config)
-        system.ingest(background)
-        probes_by_size = {}
-        for size in target_sizes:
-            probes_by_size[size] = system.ingest([size] * n_probes)
-        for size, probes in probes_by_size.items():
-            results = system.measure_degraded_reads(probes, None, busy=busy,
-                                                    seed=seed + 1)
-            times = np.array([r.total_time for r in results]) * 1000
-            rows.append(LatencyRow(scheme, size,
-                                   float(np.percentile(times, 5)),
-                                   float(np.percentile(times, 50)),
-                                   float(np.percentile(times, 95))))
-    return rows
-
-
-def to_text(rows: list[LatencyRow]) -> str:
-    """Render the result as a paper-style text table."""
-    def fmt_size(x):
-        return f"{x // MB}MB" if x >= MB else f"{x // KB}KB"
-
-    return format_table(
-        ["Scheme", "Object size", "p5 (ms)", "p50 (ms)", "p95 (ms)"],
-        [[r.scheme, fmt_size(r.object_size), round(r.p5_ms, 2),
-          round(r.p50_ms, 2), round(r.p95_ms, 2)] for r in rows])
-
-
-def compute_scheme(setting: str, scheme: str, n_objects: int = 1500,
+def compute_scheme(setting: str, scheme: str, n_objects: int,
                    n_probes: int = 24, busy: bool = False,
                    seed: int = 0) -> dict:
-    """Scenario compute: one scheme's latency rows (all target sizes)."""
-    rows = run(setting_by_name(setting), schemes=[scheme],
-               n_objects=n_objects, n_probes=n_probes, busy=busy, seed=seed)
+    """Scenario compute: one scheme's latency rows (all target sizes).
+
+    ``n_probes`` equal-sized probe objects per target size are ingested
+    after the background workload, then each size's probes are read
+    degraded.
+    """
+    st = setting_by_name(setting)
+    target_sizes = W1_TARGET_SIZES if st.name == "W1" else W2_TARGET_SIZES
+    system = build_system(scheme, st, cluster_config(st, n_objects))
+    system.ingest(sample_workload(st, n_objects, seed))
+    probes_by_size = {size: system.ingest([size] * n_probes)
+                      for size in target_sizes}
+    rows = []
+    for size, probes in probes_by_size.items():
+        results = system.measure_degraded_reads(probes, None, busy=busy,
+                                                seed=seed + 1)
+        times = np.array([r.total_time for r in results]) * 1000
+        rows.append(LatencyRow(scheme, size,
+                               float(np.percentile(times, 5)),
+                               float(np.percentile(times, 50)),
+                               float(np.percentile(times, 95))))
     return {"rows": rows_of(rows)}
 
 
@@ -119,4 +96,12 @@ def scenarios(setting: str, n_objects: int | None = None,
 
 
 def render(results: list[ExperimentResult]) -> str:
-    return to_text(typed_rows(results, LatencyRow))
+    """Paper-style table of every unit's latency percentiles."""
+    def fmt_size(x):
+        return f"{x // MB}MB" if x >= MB else f"{x // KB}KB"
+
+    return format_table(
+        ["Scheme", "Object size", "p5 (ms)", "p50 (ms)", "p95 (ms)"],
+        [[r.scheme, fmt_size(r.object_size), round(r.p5_ms, 2),
+          round(r.p50_ms, 2), round(r.p95_ms, 2)]
+         for r in typed_rows(results, LatencyRow)])

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.common import (
-    W1_SETTING,
-    WorkloadSetting,
     build_system,
     cluster_config,
     format_table,
@@ -42,51 +40,30 @@ class BandwidthRow:
     pipelining_saving: float  # 1 - degraded / (repair + transfer)
 
 
-def run(setting: WorkloadSetting = W1_SETTING,
-        bandwidths: tuple[float, ...] = (1.0, 2.0, 4.0),
-        scheme: str | None = None, n_objects: int = 1500,
-        n_requests: int = 25, seed: int = 0) -> list[BandwidthRow]:
-    """Run the experiment; returns its result rows."""
-    scheme = scheme or setting.geo_default
-    sizes = sample_workload(setting, n_objects, seed)
-    targets = request_size_targets(setting, sizes, n_requests, seed + 1)
-    rows: list[BandwidthRow] = []
-    for gbps in bandwidths:
-        config = cluster_config(setting, n_objects, client_gbps=gbps)
-        system = build_system(scheme, setting, config)
-        system.ingest(sizes)
-        requests = nearest_candidates(system.catalog.objects, targets)
-        results = system.measure_degraded_reads(requests, None)
-        transfer = float(np.mean([r.transfer_time for r in results]))
-        repair = float(np.mean([r.repair_time for r in results]))
-        total = float(np.mean([r.total_time for r in results]))
-        rows.append(BandwidthRow(
-            client_gbps=gbps,
-            transfer_ms=1000 * transfer,
-            repair_ms=1000 * repair,
-            degraded_ms=1000 * total,
-            pipelining_saving=1.0 - total / (repair + transfer)
-            if repair + transfer else 0.0,
-        ))
-    return rows
-
-
-def to_text(rows: list[BandwidthRow]) -> str:
-    """Render the result as a paper-style text table."""
-    return format_table(
-        ["Client bw", "Transfer (ms)", "Repair (ms)", "Degraded (ms)",
-         "Pipelining saving"],
-        [[f"{r.client_gbps:.0f}Gbps", round(r.transfer_ms), round(r.repair_ms),
-          round(r.degraded_ms), f"{r.pipelining_saving * 100:.1f}%"]
-         for r in rows])
-
-
-def compute_bandwidth(setting: str, gbps: float, n_objects: int = 1500,
+def compute_bandwidth(setting: str, gbps: float, n_objects: int,
                       n_requests: int = 25, seed: int = 0) -> dict:
-    """Scenario compute: one client-bandwidth grid point."""
-    rows = run(setting_by_name(setting), bandwidths=(gbps,),
-               n_objects=n_objects, n_requests=n_requests, seed=seed)
-    return {"rows": rows_of(rows)}
+    """Scenario compute: the default Geometric scheme's degraded reads at
+    one client bandwidth."""
+    st = setting_by_name(setting)
+    sizes = sample_workload(st, n_objects, seed)
+    targets = request_size_targets(st, sizes, n_requests, seed + 1)
+    config = cluster_config(st, n_objects, client_gbps=gbps)
+    system = build_system(st.geo_default, st, config)
+    system.ingest(sizes)
+    requests = nearest_candidates(system.catalog.objects, targets)
+    results = system.measure_degraded_reads(requests, None)
+    transfer = float(np.mean([r.transfer_time for r in results]))
+    repair = float(np.mean([r.repair_time for r in results]))
+    total = float(np.mean([r.total_time for r in results]))
+    row = BandwidthRow(
+        client_gbps=gbps,
+        transfer_ms=1000 * transfer,
+        repair_ms=1000 * repair,
+        degraded_ms=1000 * total,
+        pipelining_saving=1.0 - total / (repair + transfer)
+        if repair + transfer else 0.0,
+    )
+    return {"rows": rows_of([row])}
 
 
 def scenarios(setting: str = "W1", n_objects: int | None = None,
@@ -99,4 +76,10 @@ def scenarios(setting: str = "W1", n_objects: int | None = None,
 
 
 def render(results: list[ExperimentResult]) -> str:
-    return to_text(typed_rows(results, BandwidthRow))
+    """Paper-style table, one row per client bandwidth."""
+    return format_table(
+        ["Client bw", "Transfer (ms)", "Repair (ms)", "Degraded (ms)",
+         "Pipelining saving"],
+        [[f"{r.client_gbps:.0f}Gbps", round(r.transfer_ms), round(r.repair_ms),
+          round(r.degraded_ms), f"{r.pipelining_saving * 100:.1f}%"]
+         for r in typed_rows(results, BandwidthRow)])

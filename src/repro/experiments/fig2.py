@@ -24,8 +24,8 @@ class CaseRow:
     read_fraction: float
 
 
-def run(k: int = 10, r: int = 4) -> list[CaseRow]:
-    """Run the experiment; returns its result rows."""
+def compute(k: int, r: int) -> dict:
+    """Scenario compute: the Clay repair-pattern cases (deterministic)."""
     code = ClayCode(k, r)
     chunk = code.alpha  # one byte per sub-chunk
     rows = []
@@ -44,11 +44,15 @@ def run(k: int = 10, r: int = 4) -> list[CaseRow]:
             subchunks_read_per_helper=sum(s.length for s in segs),
             read_fraction=sum(s.length for s in segs) / code.alpha,
         ))
-    return rows
+    return {"rows": rows_of(rows)}
 
 
-def to_text(rows: list[CaseRow]) -> str:
-    """Render the result as a paper-style text table."""
+def scenarios(k: int = 10, r: int = 4) -> list[Scenario]:
+    return [scenario(compute, name="repair-patterns", seeded=False, k=k, r=r)]
+
+
+def render(results: list[ExperimentResult]) -> str:
+    """Paper-style table, one row per repair case."""
     def node_names(nodes):
         return ",".join(f"D{n + 1}" if n < 10 else f"P{n - 9}" for n in nodes)
 
@@ -57,18 +61,5 @@ def to_text(rows: list[CaseRow]) -> str:
          "Fraction"],
         [[r.case, node_names(r.failed_nodes), r.runs_per_helper,
           r.run_length_subchunks, r.subchunks_read_per_helper,
-          round(r.read_fraction, 3)] for r in rows])
-
-
-def compute(k: int = 10, r: int = 4) -> dict:
-    """Scenario compute: the Clay repair-pattern cases (deterministic)."""
-    return {"rows": rows_of(run(k=k, r=r))}
-
-
-def scenarios(k: int = 10, r: int = 4) -> list[Scenario]:
-    return [scenario(compute, name="repair-patterns", seeded=False, k=k, r=r)]
-
-
-def render(results: list[ExperimentResult]) -> str:
-    return to_text(typed_rows(results, CaseRow))
+          round(r.read_fraction, 3)] for r in typed_rows(results, CaseRow)])
 

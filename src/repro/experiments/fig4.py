@@ -92,27 +92,16 @@ def degraded_read_64mb(chunk_size: int, code: ClayCode | None = None,
     return sum(times) / len(times)
 
 
-def run(chunk_sizes: tuple[int, ...] = (4 * MB, 8 * MB, 16 * MB, 32 * MB,
-                                        64 * MB, 128 * MB, 256 * MB),
-        ) -> list[ChunkSizePoint]:
-    """Run the experiment; returns its result rows."""
-    code = ClayCode(10, 4)
-    return [ChunkSizePoint(c, recovery_bandwidth(c, code),
-                           degraded_read_64mb(c, code))
-            for c in chunk_sizes]
-
-
-def to_text(points: list[ChunkSizePoint]) -> str:
-    """Render the result as a paper-style text table."""
-    return format_table(
-        ["Chunk size", "Degraded read (ms)", "Recovery disk bw (MB/s)"],
-        [[f"{p.chunk_size // MB}MB", round(p.degraded_read_time * 1000),
-          round(p.recovery_bandwidth / MB, 1)] for p in points])
+#: The chunk sizes the curve sweeps.
+CHUNK_SIZES = (4 * MB, 8 * MB, 16 * MB, 32 * MB, 64 * MB, 128 * MB, 256 * MB)
 
 
 def compute() -> dict:
     """Scenario compute: the analytic chunk-size dilemma curve."""
-    return {"rows": rows_of(run())}
+    code = ClayCode(10, 4)
+    return {"rows": rows_of([ChunkSizePoint(c, recovery_bandwidth(c, code),
+                                            degraded_read_64mb(c, code))
+                             for c in CHUNK_SIZES])}
 
 
 def scenarios() -> list[Scenario]:
@@ -120,7 +109,12 @@ def scenarios() -> list[Scenario]:
 
 
 def render(results: list[ExperimentResult]) -> str:
-    return to_text(typed_rows(results, ChunkSizePoint))
+    """Paper-style table, one row per chunk size."""
+    return format_table(
+        ["Chunk size", "Degraded read (ms)", "Recovery disk bw (MB/s)"],
+        [[f"{p.chunk_size // MB}MB", round(p.degraded_read_time * 1000),
+          round(p.recovery_bandwidth / MB, 1)]
+         for p in typed_rows(results, ChunkSizePoint)])
 
 
 def scenarios_with_calibration() -> list[Scenario]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.experiments import tradeoff
 from repro.experiments.common import W1_SETTING, W2_SETTING, format_table
-from repro.experiments.tradeoff import TradeoffResult, run as run_tradeoff
+from repro.experiments.tradeoff import TradeoffResult
 from repro.runner import ExperimentResult, Scenario
 
 GB = 1 << 30
@@ -34,18 +34,10 @@ def _per_byte(result: TradeoffResult, scheme: str) -> float:
     return r.recovery_time / r.repaired_bytes
 
 
-def run(w1: TradeoffResult | None = None, w2: TradeoffResult | None = None,
-        n_objects_w1: int = 3000, n_objects_w2: int = 40_000,
-        seed: int = 0) -> HeadlineResult:
-    """Run the experiment; returns its result rows."""
-    geo_w1 = "Geo-4M"
-    geo_w2 = "Geo-128K"
-    if w1 is None:
-        w1 = run_tradeoff(W1_SETTING, n_objects=n_objects_w1, include_busy=False,
-                          schemes=[geo_w1, "RS", "LRC"], seed=seed)
-    if w2 is None:
-        w2 = run_tradeoff(W2_SETTING, n_objects=n_objects_w2, include_busy=False,
-                          schemes=[geo_w2, "RS"], seed=seed)
+def from_tradeoffs(w1: TradeoffResult, w2: TradeoffResult) -> HeadlineResult:
+    """The headline ratios from a W1 and a W2 tradeoff result, each holding
+    its setting's default Geometric scheme, RS and (W1) LRC."""
+    geo_w1, geo_w2 = W1_SETTING.geo_default, W2_SETTING.geo_default
     geo = w1.by_scheme(geo_w1)
     return HeadlineResult(
         w1_recovery_rate=geo.recovery_rate,
@@ -54,20 +46,6 @@ def run(w1: TradeoffResult | None = None, w2: TradeoffResult | None = None,
         w2_vs_rs=_per_byte(w2, "RS") / _per_byte(w2, geo_w2),
         degraded_over_normal=geo.degraded_ms / geo.normal_ms,
     )
-
-
-def to_text(r: HeadlineResult) -> str:
-    """Render the result as a paper-style text table."""
-    rows = [
-        ["W1 Clay+Geo recovery rate", f"{r.w1_recovery_rate / GB:.2f} GB/s",
-         "1.73 GB/s"],
-        ["W1 recovery speedup vs RS", f"{r.w1_vs_rs:.2f}x", "1.85x"],
-        ["W1 recovery speedup vs LRC", f"{r.w1_vs_lrc:.2f}x", "1.30x"],
-        ["W2 recovery speedup vs RS", f"{r.w2_vs_rs:.2f}x", "2.01x"],
-        ["W1 degraded read / normal read", f"{r.degraded_over_normal:.2f}x",
-         "1.02x"],
-    ]
-    return format_table(["Metric", "Measured", "Paper"], rows)
 
 
 def scenarios(n_objects: int | None = None) -> list[Scenario]:
@@ -79,17 +57,28 @@ def scenarios(n_objects: int | None = None) -> list[Scenario]:
     """
     w1 = tradeoff.scenarios(
         "W1", n_objects=n_objects if n_objects is not None else 3000,
-        schemes=["Geo-4M", "RS", "LRC"], include_busy=False)
+        schemes=[W1_SETTING.geo_default, "RS", "LRC"], include_busy=False)
     w2 = tradeoff.scenarios(
         "W2", n_objects=n_objects * 10 if n_objects is not None else 40_000,
-        schemes=["Geo-128K", "RS"], include_busy=False)
+        schemes=[W2_SETTING.geo_default, "RS"], include_busy=False)
     return ([s.prefixed("w1") for s in w1] + [s.prefixed("w2") for s in w2])
 
 
 def render(results: list[ExperimentResult]) -> str:
+    """The headline table from W1 and W2 tradeoff units (any schemes that
+    include the ones :func:`from_tradeoffs` reads)."""
     by_setting: dict[str, list[ExperimentResult]] = {}
     for r in results:
         by_setting.setdefault(r.meta["setting"], []).append(r)
-    w1 = tradeoff.from_results(by_setting["W1"])
-    w2 = tradeoff.from_results(by_setting["W2"])
-    return to_text(run(w1=w1, w2=w2))
+    r = from_tradeoffs(tradeoff.from_results(by_setting["W1"]),
+                       tradeoff.from_results(by_setting["W2"]))
+    rows = [
+        ["W1 Clay+Geo recovery rate", f"{r.w1_recovery_rate / GB:.2f} GB/s",
+         "1.73 GB/s"],
+        ["W1 recovery speedup vs RS", f"{r.w1_vs_rs:.2f}x", "1.85x"],
+        ["W1 recovery speedup vs LRC", f"{r.w1_vs_lrc:.2f}x", "1.30x"],
+        ["W2 recovery speedup vs RS", f"{r.w2_vs_rs:.2f}x", "2.01x"],
+        ["W1 degraded read / normal read", f"{r.degraded_over_normal:.2f}x",
+         "1.02x"],
+    ]
+    return format_table(["Metric", "Measured", "Paper"], rows)

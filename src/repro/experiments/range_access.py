@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.common import (
-    W1_SETTING,
     WorkloadSetting,
+    _label,
     build_system,
     cluster_config,
     nearest_candidates,
@@ -24,8 +24,6 @@ from repro.experiments.common import (
     setting_by_name,
 )
 from repro.runner import ExperimentResult, Scenario, canonical_json, scenario
-
-MB = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,25 +36,29 @@ class RangeRow:
 
 
 def default_schemes(setting: WorkloadSetting) -> list[str]:
-    """The scheme labels this experiment compares."""
-    geo = setting.geo_default
-    con = f"Con-{'16M' if setting.name == 'W1' else '128K'}"
-    return [geo, con, "Stripe-Max"]
+    """The scheme labels this experiment compares: the default Geometric
+    scheme (the ratios' baseline) first, then the smallest contiguous chunk
+    size and Stripe-Max."""
+    return [setting.geo_default,
+            f"Con-{_label(setting.contiguous_variants[0])}", "Stripe-Max"]
 
 
-def _measure_scheme(scheme: str, setting: WorkloadSetting, n_objects: int,
-                    n_requests: int, seed: int) -> tuple[float, float]:
-    """Mean idle/busy range degraded-read time (s) for one scheme.
+def compute_scheme(setting: str, scheme: str, n_objects: int,
+                   n_requests: int = 30, seed: int = 0) -> dict:
+    """Scenario compute: one scheme's mean idle and busy range degraded-read
+    times (seconds).
 
     The range sample depends only on (setting, n_objects, n_requests,
-    seed), so per-scheme units reproduce the monolithic loop exactly.
+    seed), so every scheme reads the same ranges.  Ratios against the Geo
+    baseline are cross-unit and therefore computed in
+    :func:`from_results`, not here.
     """
-    sizes = sample_workload(setting, n_objects, seed)
-    config = cluster_config(setting, n_objects)
-    targets = request_size_targets(setting, sizes, n_requests, seed + 1)
+    st = setting_by_name(setting)
+    sizes = sample_workload(st, n_objects, seed)
+    targets = request_size_targets(st, sizes, n_requests, seed + 1)
     rng = np.random.default_rng(seed + 2)
     range_fracs = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in targets]
-    system = build_system(scheme, setting, config)
+    system = build_system(scheme, st, cluster_config(st, n_objects))
     system.ingest(sizes)
     requests = nearest_candidates(system.catalog.objects, targets)
     ranges = []
@@ -64,55 +66,13 @@ def _measure_scheme(scheme: str, setting: WorkloadSetting, n_objects: int,
         length = max(1, int(f_len * obj.size))
         offset = int(f_off * (obj.size - length))
         ranges.append((offset, length))
-    results = system.measure_degraded_reads(requests, None, ranges=ranges)
+    idle = system.measure_degraded_reads(requests, None, ranges=ranges)
     busy = system.measure_degraded_reads(requests, None, ranges=ranges,
                                          busy=True, seed=seed + 3)
-    return (float(np.mean([r.total_time for r in results])),
-            float(np.mean([r.total_time for r in busy])))
-
-
-def _rows_from_means(schemes: list[str], means: dict[str, float],
-                     means_busy: dict[str, float]) -> list[RangeRow]:
-    geo = schemes[0]
-    return [RangeRow(s, 1000 * means[s], means[geo] / means[s],
-                     1000 * means_busy[s], means_busy[geo] / means_busy[s])
-            for s in schemes]
-
-
-def run(setting: WorkloadSetting = W1_SETTING,
-        schemes: list[str] | None = None, n_objects: int = 1500,
-        n_requests: int = 30, seed: int = 0) -> list[RangeRow]:
-    """Run the experiment; returns its result rows."""
-    schemes = schemes or default_schemes(setting)
-    means: dict[str, float] = {}
-    means_busy: dict[str, float] = {}
-    for scheme in schemes:
-        means[scheme], means_busy[scheme] = _measure_scheme(
-            scheme, setting, n_objects, n_requests, seed)
-    return _rows_from_means(schemes, means, means_busy)
-
-
-def to_text(rows: list[RangeRow]) -> str:
-    """Render the result as a paper-style text table."""
-    return format_table(
-        ["Scheme", "Idle (ms)", "Geo as % (idle)", "Busy (ms)",
-         "Geo as % (busy)"],
-        [[r.scheme, round(r.mean_range_ms, 2), f"{r.ratio_to_geo * 100:.1f}%",
-          round(r.mean_range_ms_busy, 2), f"{r.ratio_to_geo_busy * 100:.1f}%"]
-         for r in rows])
-
-
-def compute_scheme(setting: str, scheme: str, n_objects: int = 1500,
-                   n_requests: int = 30, seed: int = 0) -> dict:
-    """Scenario compute: one scheme's raw idle/busy means (seconds).
-
-    Ratios against the Geo baseline are cross-unit and therefore computed
-    in :func:`render`, not here.
-    """
-    mean, mean_busy = _measure_scheme(scheme, setting_by_name(setting),
-                                      n_objects, n_requests, seed)
-    return {"rows": [{"scheme": scheme, "mean_s": mean,
-                      "mean_busy_s": mean_busy}]}
+    return {"rows": [{"scheme": scheme,
+                      "mean_s": float(np.mean([r.total_time for r in idle])),
+                      "mean_busy_s": float(np.mean(
+                          [r.total_time for r in busy]))}]}
 
 
 def scenarios(setting: str = "W1", n_objects: int | None = None,
@@ -125,9 +85,21 @@ def scenarios(setting: str = "W1", n_objects: int | None = None,
             for s in names]
 
 
+def from_results(results: list[ExperimentResult]) -> list[RangeRow]:
+    """One row per unit, with its ratios to the first unit's scheme (the
+    Geo baseline)."""
+    means = [r.rows[0] for r in results]
+    geo = means[0]
+    return [RangeRow(m["scheme"], 1000 * m["mean_s"],
+                     geo["mean_s"] / m["mean_s"], 1000 * m["mean_busy_s"],
+                     geo["mean_busy_s"] / m["mean_busy_s"]) for m in means]
+
+
 def render(results: list[ExperimentResult]) -> str:
-    schemes = [r.rows[0]["scheme"] for r in results]
-    means = {r.rows[0]["scheme"]: r.rows[0]["mean_s"] for r in results}
-    means_busy = {r.rows[0]["scheme"]: r.rows[0]["mean_busy_s"]
-                  for r in results}
-    return to_text(_rows_from_means(schemes, means, means_busy))
+    """Paper-style table of the range reads and their ratios to Geo."""
+    return format_table(
+        ["Scheme", "Idle (ms)", "Geo as % (idle)", "Busy (ms)",
+         "Geo as % (busy)"],
+        [[r.scheme, round(r.mean_range_ms, 2), f"{r.ratio_to_geo * 100:.1f}%",
+          round(r.mean_range_ms_busy, 2), f"{r.ratio_to_geo_busy * 100:.1f}%"]
+         for r in from_results(results)])

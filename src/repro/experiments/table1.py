@@ -24,8 +24,8 @@ class CodeRow:
     sub_packetization: int
 
 
-def run(k: int = 10, r: int = 4, lrc_locals: int = 2) -> list[CodeRow]:
-    """Run the experiment; returns its result rows."""
+def compute(k: int, r: int, lrc_locals: int) -> dict:
+    """Scenario compute: the code-comparison rows (deterministic)."""
     codes = [RSCode(k, r), LRCCode(k, lrc_locals, r - lrc_locals), ClayCode(k, r)]
     rows = []
     for code in codes:
@@ -36,20 +36,7 @@ def run(k: int = 10, r: int = 4, lrc_locals: int = 2) -> list[CodeRow]:
             storage_percent=100.0 * code.storage_overhead,
             sub_packetization=code.alpha,
         ))
-    return rows
-
-
-def to_text(rows: list[CodeRow]) -> str:
-    """Render the result as a paper-style text table."""
-    return format_table(
-        ["Code", "MDS", "Read traffic", "Storage", "Sub-packetization"],
-        [[r.name, "Yes" if r.is_mds else "No", round(r.read_traffic, 2),
-          f"{r.storage_percent:.0f}%", r.sub_packetization] for r in rows])
-
-
-def compute(k: int = 10, r: int = 4, lrc_locals: int = 2) -> dict:
-    """Scenario compute: the code-comparison rows (deterministic)."""
-    return {"rows": rows_of(run(k=k, r=r, lrc_locals=lrc_locals))}
+    return {"rows": rows_of(rows)}
 
 
 def scenarios(k: int = 10, r: int = 4, lrc_locals: int = 2) -> list[Scenario]:
@@ -58,4 +45,10 @@ def scenarios(k: int = 10, r: int = 4, lrc_locals: int = 2) -> list[Scenario]:
 
 
 def render(results: list[ExperimentResult]) -> str:
-    return to_text(typed_rows(results, CodeRow))
+    """Paper-style table, one row per code."""
+    return format_table(
+        ["Code", "MDS", "Read traffic", "Storage", "Sub-packetization"],
+        [[r.name, "Yes" if r.is_mds else "No", round(r.read_traffic, 2),
+          f"{r.storage_percent:.0f}%", r.sub_packetization]
+         for r in typed_rows(results, CodeRow)])
+

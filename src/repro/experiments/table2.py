@@ -32,8 +32,8 @@ class WorkloadRow:
     paper_mean_request: float
 
 
-def run(n_objects: int = 40_000, seed: int = 0) -> list[WorkloadRow]:
-    """Run the experiment; returns its result rows."""
+def compute(n_objects: int, seed: int = 0) -> dict:
+    """Scenario compute: the Table 2 workload statistics."""
     rows = []
     for setting in (W1_SETTING, W2_SETTING):
         w = setting.workload
@@ -49,11 +49,16 @@ def run(n_objects: int = 40_000, seed: int = 0) -> list[WorkloadRow]:
             paper_mean_object=w.mean_object_size,
             paper_mean_request=w.mean_request_size,
         ))
-    return rows
+    return {"rows": rows_of(rows)}
 
 
-def to_text(rows: list[WorkloadRow]) -> str:
-    """Render the result as a paper-style text table."""
+def scenarios(n_objects: int | None = None) -> list[Scenario]:
+    return [scenario(compute, name="workloads",
+                     n_objects=n_objects if n_objects is not None else 30_000)]
+
+
+def render(results: list[ExperimentResult]) -> str:
+    """Paper-style table, one row per workload."""
     def fmt(x):
         if x >= GB:
             return f"{x / GB:.1f}GB"
@@ -67,19 +72,5 @@ def to_text(rows: list[WorkloadRow]) -> str:
         [[r.name, f"{fmt(r.min_size)}~{fmt(r.max_size)}",
           f"{fmt(r.mean_object_size)} ({fmt(r.paper_mean_object)})",
           f"{fmt(r.mean_request_size)} ({fmt(r.paper_mean_request)})",
-          r.n_objects, fmt(r.total_capacity)] for r in rows])
-
-
-def compute(n_objects: int = 40_000, seed: int = 0) -> dict:
-    """Scenario compute: the Table 2 workload statistics."""
-    return {"rows": rows_of(run(n_objects=n_objects, seed=seed))}
-
-
-def scenarios(n_objects: int | None = None) -> list[Scenario]:
-    return [scenario(compute, name="workloads",
-                     n_objects=n_objects if n_objects is not None else 30_000)]
-
-
-def render(results: list[ExperimentResult]) -> str:
-    return to_text(typed_rows(results, WorkloadRow))
-
+          r.n_objects, fmt(r.total_capacity)]
+         for r in typed_rows(results, WorkloadRow)])

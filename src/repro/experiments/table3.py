@@ -7,26 +7,10 @@ per disk (reads + writes) and received per node over the recovery makespan.
 from __future__ import annotations
 
 from repro.experiments import tradeoff
-from repro.experiments.common import WorkloadSetting, format_table
-from repro.experiments.tradeoff import TradeoffResult, run as run_tradeoff
+from repro.experiments.common import format_table
 from repro.runner import ExperimentResult, Scenario
 
 MB = 1 << 20
-
-
-def run(setting: WorkloadSetting, n_objects: int | None = None,
-        schemes: list[str] | None = None, seed: int = 0) -> TradeoffResult:
-    """Run the experiment; returns its result rows."""
-    return run_tradeoff(setting, n_objects=n_objects, schemes=schemes,
-                        include_busy=False, n_requests=4, seed=seed)
-
-
-def to_text(result: TradeoffResult) -> str:
-    """Render the result as a paper-style text table."""
-    rows = [[r.scheme, round(r.disk_bandwidth / MB, 1),
-             round(r.network_bandwidth / MB, 1)] for r in result.results]
-    return (f"[{result.setting_name}]\n"
-            + format_table(["Scheme", "Disk (MB/s)", "Network (MB/s)"], rows))
 
 
 def scenarios(setting: str, n_objects: int | None = None,
@@ -37,4 +21,9 @@ def scenarios(setting: str, n_objects: int | None = None,
 
 
 def render(results: list[ExperimentResult]) -> str:
-    return to_text(tradeoff.from_results(results))
+    """Paper-style table of tradeoff units' recovery bandwidths."""
+    result = tradeoff.from_results(results)
+    rows = [[r.scheme, round(r.disk_bandwidth / MB, 1),
+             round(r.network_bandwidth / MB, 1)] for r in result.results]
+    return (f"[{result.setting_name}]\n"
+            + format_table(["Scheme", "Disk (MB/s)", "Network (MB/s)"], rows))

@@ -17,15 +17,11 @@ import numpy as np
 
 from repro.core import ContiguousLayout, GeometricLayout, StripeMaxLayout
 from repro.experiments.common import (
-    W1_SETTING,
-    WorkloadSetting,
     format_table,
     sample_workload,
     setting_by_name,
 )
 from repro.runner import ExperimentResult, Scenario, rows_of, scenario, typed_rows
-
-MB = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -52,16 +48,16 @@ def _touched_bytes(layout_name, placement, offset, length, object_size):
     return touched
 
 
-def run(setting: WorkloadSetting = W1_SETTING, n_objects: int = 400,
-        seed: int = 0) -> list[RangeComparisonRow]:
-    """Run the experiment; returns its result rows."""
-    s0 = setting.geo_default_s0
+def compute(setting: str, n_objects: int, seed: int = 0) -> dict:
+    """Scenario compute: all three layout rows (one cheap analytic pass)."""
+    st = setting_by_name(setting)
+    s0 = st.geo_default_s0
     layouts = [
-        ("Geometric", GeometricLayout(s0, 2, setting.max_chunk_size)),
-        ("Contiguous", ContiguousLayout(setting.contiguous_variants[0])),
+        ("Geometric", GeometricLayout(s0, 2, st.max_chunk_size)),
+        ("Contiguous", ContiguousLayout(st.contiguous_variants[0])),
         ("Stripe-Max", StripeMaxLayout(10)),
     ]
-    sizes = sample_workload(setting, n_objects, seed)
+    sizes = sample_workload(st, n_objects, seed)
     rng = np.random.default_rng(seed + 1)
     rows = []
     for name, layout in layouts:
@@ -91,27 +87,6 @@ def run(setting: WorkloadSetting = W1_SETTING, n_objects: int = 400,
             pipelining={"Geometric": "Sometimes", "Contiguous": "Sometimes",
                         "Stripe-Max": "No"}[name],
         ))
-    return rows
-
-
-def to_text(rows: list[RangeComparisonRow]) -> str:
-    """Render the result as a paper-style text table."""
-    def classify(r):
-        if r.layout == "Stripe-Max":
-            return "Equal to object size"
-        if r.can_exceed_object:
-            return "Possibly larger than object size"
-        return "Less than object size"
-
-    return format_table(
-        ["Layout", "Read size", "x range", "x object", "Pipelining"],
-        [[r.layout, classify(r), round(r.mean_read_over_range, 2),
-          round(r.mean_read_over_object, 2), r.pipelining] for r in rows])
-
-
-def compute(setting: str = "W1", n_objects: int = 400, seed: int = 0) -> dict:
-    """Scenario compute: all three layout rows (one cheap analytic pass)."""
-    rows = run(setting_by_name(setting), n_objects=n_objects, seed=seed)
     return {"rows": rows_of(rows)}
 
 
@@ -122,4 +97,17 @@ def scenarios(setting: str = "W1",
 
 
 def render(results: list[ExperimentResult]) -> str:
-    return to_text(typed_rows(results, RangeComparisonRow))
+    """Paper-style table, one row per layout."""
+    def classify(r):
+        if r.layout == "Stripe-Max":
+            return "Equal to object size"
+        if r.can_exceed_object:
+            return "Possibly larger than object size"
+        return "Less than object size"
+
+    return format_table(
+        ["Layout", "Read size", "x range", "x object", "Pipelining"],
+        [[r.layout, classify(r), round(r.mean_read_over_range, 2),
+          round(r.mean_read_over_object, 2), r.pipelining]
+         for r in typed_rows(results, RangeComparisonRow)])
+

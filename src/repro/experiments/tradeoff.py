@@ -3,7 +3,7 @@
 The paper's central result: for each scheme, one recovery run (turn off a
 disk, recover every affected PG at maximal concurrency) and a batch of
 degraded reads sampled from the request distribution, idle and busy.
-Figure 9 is ``run(W1_SETTING)``; Figure 10 is ``run(W2_SETTING)``.
+Figure 9 is the W1 grid of :func:`scenarios`; Figure 10 the W2 grid.
 Table 3's disk/network bandwidths and the §6.2 headline ratios are derived
 from the same results (:mod:`repro.experiments.table3`,
 :mod:`repro.experiments.headline`).
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.common import (
-    WorkloadSetting,
     build_system,
     cluster_config,
     format_table,
@@ -74,68 +73,53 @@ class TradeoffResult:
         raise KeyError(name)
 
 
-def run(setting: WorkloadSetting, n_objects: int | None = None,
-        n_requests: int = 30, schemes: list[str] | None = None,
-        include_busy: bool = True, failed_disk: int = 0,
-        seed: int = 0) -> TradeoffResult:
-    """Run the experiment; returns its result rows."""
-    if n_objects is None:
-        n_objects = 4000 if setting.name == "W1" else 60_000
-    sizes = sample_workload(setting, n_objects, seed)
-    config = cluster_config(setting, n_objects)
-    targets = request_size_targets(setting, sizes, n_requests, seed + 2)
-    results: list[SchemeResult] = []
-    for scheme in (schemes or setting.scheme_names):
-        system = build_system(scheme, setting, config)
-        system.ingest(sizes)
-        report = system.run_recovery(failed_disk)
-        busy_report = (system.run_recovery(failed_disk, busy=True, seed=seed + 1)
-                       if include_busy else None)
-        # Sample requests over the whole population and fail each target's
-        # own disk: size-unbiased at any scale (see measure_degraded_reads).
-        requests = nearest_candidates(system.catalog.objects, targets)
-        degraded = system.measure_degraded_reads(requests, None)
-        degraded_busy = (system.measure_degraded_reads(
-            requests, None, busy=True, seed=seed + 3)
-            if include_busy else None)
-        normal = system.measure_normal_reads(requests)
-        bytes_per_disk = report.repaired_bytes
-        results.append(SchemeResult(
-            scheme=scheme,
-            recovery_time=report.makespan,
-            recovery_time_busy=busy_report.makespan if busy_report else None,
-            recovery_time_paper_scale=scale_to_paper(
-                report.makespan, setting, bytes_per_disk),
-            recovery_rate=report.recovery_rate,
-            repaired_bytes=report.repaired_bytes,
-            degraded_ms=1000 * float(np.mean([r.total_time for r in degraded])),
-            degraded_ms_busy=(1000 * float(np.mean(
-                [r.total_time for r in degraded_busy]))
-                if degraded_busy else None),
-            normal_ms=1000 * float(np.mean(normal)),
-            disk_bandwidth=report.disk_bandwidth,
-            network_bandwidth=report.network_bandwidth,
-        ))
-    return TradeoffResult(setting.name, n_objects, int(sizes.sum()), results)
-
-
-def compute_scheme(setting: str, scheme: str, n_objects: int | None = None,
-                   n_requests: int = 30, include_busy: bool = True,
+def compute_scheme(setting: str, scheme: str, n_objects: int | None,
+                   n_requests: int, include_busy: bool,
                    failed_disk: int = 0, seed: int = 0) -> dict:
     """Scenario compute: one scheme's grid point as JSON-safe rows.
 
-    The workload sample and request targets depend only on (setting,
-    n_objects, seed), so per-scheme units reproduce exactly the rows of a
-    monolithic ``run()`` over the same scheme list.
+    ``n_objects=None`` is the setting's own scale.  The workload sample
+    and request targets depend only on (setting, n_objects, n_requests,
+    seed), so every scheme of a grid measures the same objects and
+    requests.
     """
-    result = run(setting_by_name(setting), n_objects=n_objects,
-                 n_requests=n_requests, schemes=[scheme],
-                 include_busy=include_busy, failed_disk=failed_disk,
-                 seed=seed)
-    return {"rows": rows_of(result.results),
-            "meta": {"setting": result.setting_name,
-                     "n_objects": result.n_objects,
-                     "total_bytes": result.total_bytes}}
+    st = setting_by_name(setting)
+    if n_objects is None:
+        n_objects = 4000 if st.name == "W1" else 60_000
+    sizes = sample_workload(st, n_objects, seed)
+    targets = request_size_targets(st, sizes, n_requests, seed + 2)
+    system = build_system(scheme, st, cluster_config(st, n_objects))
+    system.ingest(sizes)
+    report = system.run_recovery(failed_disk)
+    busy_report = (system.run_recovery(failed_disk, busy=True, seed=seed + 1)
+                   if include_busy else None)
+    # Sample requests over the whole population and fail each target's
+    # own disk: size-unbiased at any scale (see measure_degraded_reads).
+    requests = nearest_candidates(system.catalog.objects, targets)
+    degraded = system.measure_degraded_reads(requests, None)
+    degraded_busy = (system.measure_degraded_reads(
+        requests, None, busy=True, seed=seed + 3)
+        if include_busy else None)
+    normal = system.measure_normal_reads(requests)
+    row = SchemeResult(
+        scheme=scheme,
+        recovery_time=report.makespan,
+        recovery_time_busy=busy_report.makespan if busy_report else None,
+        recovery_time_paper_scale=scale_to_paper(
+            report.makespan, st, report.repaired_bytes),
+        recovery_rate=report.recovery_rate,
+        repaired_bytes=report.repaired_bytes,
+        degraded_ms=1000 * float(np.mean([r.total_time for r in degraded])),
+        degraded_ms_busy=(1000 * float(np.mean(
+            [r.total_time for r in degraded_busy]))
+            if degraded_busy else None),
+        normal_ms=1000 * float(np.mean(normal)),
+        disk_bandwidth=report.disk_bandwidth,
+        network_bandwidth=report.network_bandwidth,
+    )
+    return {"rows": rows_of([row]),
+            "meta": {"setting": st.name, "n_objects": n_objects,
+                     "total_bytes": int(sizes.sum())}}
 
 
 def scenarios(setting: str, n_objects: int | None = None,
@@ -168,12 +152,8 @@ def from_results(results: list[ExperimentResult]) -> TradeoffResult:
 
 
 def render(results: list[ExperimentResult]) -> str:
-    """Pure rendering of per-scheme runner results."""
-    return to_text(from_results(results))
-
-
-def to_text(result: TradeoffResult) -> str:
-    """Render the result as a paper-style text table."""
+    """Paper-style text table of per-scheme runner results."""
+    result = from_results(results)
     headers = ["Scheme", "Recovery(s)", "Recovery@paper(s)", "Degraded(ms)",
                "Normal(ms)", "Rate(MB/s)"]
     include_busy = any(r.recovery_time_busy is not None for r in result.results)

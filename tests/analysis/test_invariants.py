@@ -146,13 +146,6 @@ def test_decode_profile_reads_full_chunks():
         checker.check_decode_profile(profile, 11)
 
 
-@pytest.mark.parametrize("code", [RSCode(4, 2), ClayCode(4, 2)])
-def test_codec_roundtrip_on_real_bytes(code):
-    checker = InvariantChecker()
-    checker.verify_codec_roundtrip(code, code.alpha * 64, seed=7)
-    assert checker.stats["codec_roundtrips"] == 1
-
-
 # ----------------------------------------------------------------------
 # End-to-end: checker armed through the observer
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.disk import BACKGROUND
 from repro.experiments import ablations
-from repro.experiments.common import W1_SETTING
+from repro.experiments.common import run_at_seed
 
 
 def test_two_pass_beats_greedy_on_pipelining():
@@ -52,7 +52,7 @@ def test_ecpipe_model_rows():
 
 
 def test_combined_report_renders():
-    text = ablations.to_text(W1_SETTING)
+    text = ablations.render(run_at_seed(ablations.scenarios("W1")))
     assert "Algorithm 1" in text
     assert "ECPipe" in text
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.durability import DurabilityRow, run, to_text
+from repro.experiments.durability import DurabilityRow, from_tradeoff, to_text
 from repro.experiments.tradeoff import SchemeResult, TradeoffResult
 
 
@@ -21,7 +21,7 @@ def stub_result(recovery_paper_scale: dict[str, float]) -> TradeoffResult:
 def test_durability_from_stub():
     # Paper-like recovery times: Geo 143s, RS 265s, LRC 188s.
     result = stub_result({"Geo-4M": 143.0, "RS": 265.0, "LRC": 188.0})
-    rows = {r.scheme: r for r in run(tradeoff_result=result)}
+    rows = {r.scheme: r for r in from_tradeoff(result)}
     assert rows["Geo-4M"].recovery_hours_paper_scale == pytest.approx(143 / 3600)
     # Same fault tolerance + 1.85x faster recovery => ~1.85^4 more MTTDL.
     ratio = rows["Geo-4M"].mttdl_hours / rows["RS"].mttdl_hours
@@ -33,7 +33,7 @@ def test_durability_from_stub():
 
 def test_durability_text():
     result = stub_result({"Geo-4M": 143.0, "RS": 265.0, "LRC": 188.0})
-    text = to_text(run(tradeoff_result=result))
+    text = to_text(from_tradeoff(result))
     assert "MTTDL" in text and "Geo-4M" in text
 
 

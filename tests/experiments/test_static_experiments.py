@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import calibration, fig2, fig4, fig7, fig14, table1, table2
-from repro.experiments.common import W1_SETTING, W2_SETTING
+from repro.experiments.common import run_at_seed
+from repro.runner import typed_rows
 
 KB = 1 << 10
 MB = 1 << 20
@@ -14,7 +15,8 @@ MB = 1 << 20
 # Table 1
 # ----------------------------------------------------------------------
 def test_table1_matches_paper_exactly():
-    rows = {r.name: r for r in table1.run()}
+    rows = {r.name: r for r in typed_rows(run_at_seed(table1.scenarios()),
+                                          table1.CodeRow)}
     rs, lrc, clay = rows["RS(10,4)"], rows["LRC(10,2,2)"], rows["Clay(10,4)"]
     assert rs.is_mds and clay.is_mds and not lrc.is_mds
     assert rs.read_traffic == pytest.approx(10.0)
@@ -26,15 +28,19 @@ def test_table1_matches_paper_exactly():
 
 
 def test_table1_renders():
-    text = table1.to_text(table1.run())
+    text = table1.render(run_at_seed(table1.scenarios()))
     assert "Clay(10,4)" in text and "3.25" in text
 
 
 # ----------------------------------------------------------------------
 # Figure 2
 # ----------------------------------------------------------------------
+def fig2_rows():
+    return typed_rows(run_at_seed(fig2.scenarios()), fig2.CaseRow)
+
+
 def test_fig2_four_cases():
-    rows = fig2.run()
+    rows = fig2_rows()
     assert [r.case for r in rows] == [1, 2, 3, 4]
     assert [r.runs_per_helper for r in rows] == [1, 4, 16, 64]
     assert [r.run_length_subchunks for r in rows] == [64, 16, 4, 1]
@@ -43,7 +49,7 @@ def test_fig2_four_cases():
 
 
 def test_fig2_case_membership():
-    rows = fig2.run()
+    rows = fig2_rows()
     assert rows[0].failed_nodes == [0, 1, 2, 3]       # D1-D4
     assert rows[3].failed_nodes == [12, 13]           # P3, P4
 
@@ -53,7 +59,7 @@ def test_fig2_case_membership():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fig4_points():
-    return fig4.run()
+    return typed_rows(run_at_seed(fig4.scenarios()), fig4.ChunkSizePoint)
 
 
 def test_fig4_tradeoff_shape(fig4_points):
@@ -84,17 +90,19 @@ def test_fig4_read_amplification_at_huge_chunks():
 # Figure 7 / Table 2
 # ----------------------------------------------------------------------
 def test_fig7_cdfs(capsys):
-    result = fig7.run(n_objects=30_000)
+    results = run_at_seed(fig7.scenarios(n_objects=30_000))
+    result = fig7.from_results(results)
     assert result.capacity_above_4mb > 0.977
     assert np.all(np.diff(result.capacity_cdf) >= -1e-12)
     # Read traffic skews right of capacity for the large-object trace.
     assert result.read_traffic_cdf[len(result.grid) // 2] <= \
         result.capacity_cdf[len(result.grid) // 2] + 0.05
-    assert "97.7%" in fig7.to_text(result)
+    assert "97.7%" in fig7.render(results)
 
 
 def test_table2_stats_match_paper():
-    rows = {r.name: r for r in table2.run(n_objects=20_000)}
+    rows = {r.name: r for r in typed_rows(
+        run_at_seed(table2.scenarios(n_objects=20_000)), table2.WorkloadRow)}
     w1, w2 = rows["W1"], rows["W2"]
     assert w1.mean_object_size == pytest.approx(102.8 * MB, rel=0.1)
     assert w1.mean_request_size == pytest.approx(148.5 * MB, rel=0.02)
@@ -106,7 +114,8 @@ def test_table2_stats_match_paper():
 # Figure 14
 # ----------------------------------------------------------------------
 def test_fig14_peaks_at_small_q():
-    points = fig14.run(W1_SETTING, n_objects=2000)
+    points = typed_rows(run_at_seed(fig14.scenarios("W1", n_objects=2000)),
+                        fig14.QPoint)
     by_q = {p.q: p.average_chunk_size for p in points}
     peak = max(by_q.values())
     # The curve is nearly flat across q=2..4 at small sample sizes; the
@@ -119,9 +128,9 @@ def test_fig14_peaks_at_small_q():
 
 
 def test_fig14_w2():
-    points = fig14.run(W2_SETTING, n_objects=5000)
-    assert fig14.best_q(points) in (2, 3)
-    assert "Peak at q=" in fig14.to_text(points, W2_SETTING)
+    results = run_at_seed(fig14.scenarios("W2", n_objects=5000))
+    assert fig14.best_q(typed_rows(results, fig14.QPoint)) in (2, 3)
+    assert "Peak at q=" in fig14.render(results)
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,14 @@ def test_table3_scenarios_and_render():
 
 
 def test_table3_run_produces_positive_bandwidths():
-    from repro.experiments.common import SETTINGS
+    from repro.experiments import tradeoff
+    from repro.experiments.common import run_at_seed
 
-    result = table3.run(SETTINGS["W1"], n_objects=200,
-                        schemes=["Geo-128K"])
+    results = run_at_seed(table3.scenarios("W1", n_objects=200,
+                                           schemes=["Geo-128K"]))
+    result = tradeoff.from_results(results)
     assert result.results
     for row in result.results:
         assert row.disk_bandwidth > 0
         assert row.network_bandwidth > 0
-    assert "Geo-128K" in table3.to_text(result)
+    assert "Geo-128K" in table3.render(results)
