@@ -18,8 +18,8 @@ The package has three halves:
   yield intervals (:mod:`repro.analysis.races`) and grant-escape
   summaries that lift the resource rules across helper calls
   (:mod:`repro.analysis.summaries`).  The driver
-  (:mod:`repro.analysis.wholeprogram`) adds a content-hash incremental
-  cache, a baseline workflow, and SARIF / GitHub-annotation output.
+  (:mod:`repro.analysis.wholeprogram`) adds per-pass timings and SARIF /
+  GitHub-annotation output.
 
 * **Runtime invariants** (:mod:`repro.analysis.invariants`): an opt-in
   :class:`InvariantChecker` hooked through the :mod:`repro.obs` observer —

@@ -6,12 +6,12 @@ Two tiers share one entry point:
   ``--fix`` autofixes;
 * ``--whole-program`` — per-file rules *plus* the project-wide passes
   (determinism taint, cooperative-process races, interprocedural grant
-  escape), with the incremental cache, ``--baseline`` workflow and the
-  ``sarif`` / ``github`` output formats used by CI.
+  escape), with per-pass ``--stats`` timings and the ``sarif`` /
+  ``github`` output formats used by CI.
 
-Exit status: 0 when every checked file is clean (or every finding is
-baselined), 1 when violations remain (after ``--fix``, only unfixed
-violations count), 2 on usage errors.
+Exit status: 0 when every checked file is clean, 1 when violations
+remain (after ``--fix``, only unfixed violations count), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -83,26 +83,13 @@ def _per_file_main(args, select) -> int:
 
 def _whole_program_main(args, select) -> int:
     from repro.analysis.wholeprogram import (
-        apply_baseline,
         run_whole_program,
         to_github,
         to_sarif,
-        write_baseline,
     )
 
-    run = run_whole_program(args.paths, select=select,
-                            cache_dir=args.cache_dir,
-                            use_cache=not args.no_cache)
+    run = run_whole_program(args.paths, select=select)
     findings = run.findings
-    baselined: list = []
-
-    if args.write_baseline:
-        n = write_baseline(findings, args.write_baseline)
-        print(f"simlint: baseline of {n} finding(s) written to "
-              f"{args.write_baseline}")
-        return 0
-    if args.baseline:
-        findings, baselined = apply_baseline(findings, args.baseline)
 
     if args.format == "sarif":
         sys.stdout.write(to_sarif(findings))
@@ -120,13 +107,11 @@ def _whole_program_main(args, select) -> int:
             by_rule = Counter(v.rule for v in findings)
             summary = ", ".join(f"{r}×{n}"
                                 for r, n in sorted(by_rule.items()))
-            note = f" ({len(baselined)} baselined)" if baselined else ""
             print(f"simlint: {len(findings)} violation(s) in "
-                  f"{run.stats.files_total} file(s) ({summary}){note}")
+                  f"{run.stats.files_total} file(s) ({summary})")
         return 1
     if args.format == "text":
-        note = f" ({len(baselined)} baselined)" if baselined else ""
-        print(f"simlint: {run.stats.files_total} file(s) clean{note}")
+        print(f"simlint: {run.stats.files_total} file(s) clean")
     return 0
 
 
@@ -146,21 +131,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--whole-program", action="store_true",
                         help="also run the project-wide passes (taint, "
                              "races, grant escape)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="suppress findings fingerprinted in FILE")
-    parser.add_argument("--write-baseline", metavar="FILE", default=None,
-                        help="freeze current findings into FILE and exit")
     parser.add_argument("--format", choices=("text", "sarif", "github"),
                         default="text",
                         help="output format for --whole-program runs")
     parser.add_argument("--stats", action="store_true",
-                        help="print per-pass timing and cache statistics")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        default="results/lintcache",
-                        help="incremental cache directory "
-                             "(default: results/lintcache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="analyse everything from scratch")
+                        help="print per-pass timings")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -169,11 +144,8 @@ def main(argv: list[str] | None = None) -> int:
 
     select = args.select.split(",") if args.select else None
     if not args.whole_program:
-        for flag, name in ((args.baseline, "--baseline"),
-                           (args.write_baseline, "--write-baseline"),
-                           (args.stats, "--stats")):
-            if flag:
-                parser.error(f"{name} requires --whole-program")
+        if args.stats:
+            parser.error("--stats requires --whole-program")
         if args.format != "text":
             parser.error("--format requires --whole-program")
         return _per_file_main(args, select)

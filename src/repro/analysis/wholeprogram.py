@@ -1,28 +1,21 @@
-"""Whole-program driver: passes, incremental cache, baseline, SARIF.
+"""Whole-program driver: passes, suppressions, SARIF and GitHub output.
 
 ``run_whole_program`` is the engine behind ``simlint --whole-program``:
 
-1. hash every source file and consult the **run cache** — an identical
-   (engine, select, file-hash set) run replays its recorded findings with
-   zero re-analysis;
-2. run the per-file tier-1 rules, reusing the **per-file cache** for any
-   file whose content hash is unchanged;
-3. build the project call graph once and run the three whole-program
+1. run the per-file tier-1 rules over every source file;
+2. build the project call graph once and run the three whole-program
    passes over it: determinism taint (:mod:`repro.analysis.taint`),
    cooperative-process races (:mod:`repro.analysis.races`) and
    interprocedural grant escape (:mod:`repro.analysis.summaries`);
-4. honor ``# simlint: disable=`` comments for every finding, exactly as
+3. honor ``# simlint: disable=`` comments for every finding, exactly as
    the per-file tier does.
 
-The module also implements the **baseline** workflow (fingerprints that
-survive line-number drift, so legacy findings can be frozen while new
-ones gate CI) and the ``sarif`` / ``github`` output formats used by the
-CI job.
+It times each stage for ``--stats`` and renders the ``sarif`` /
+``github`` output formats used by the CI job.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -38,7 +31,7 @@ from repro.analysis.races import RacePass
 from repro.analysis.summaries import GrantEscapePass
 from repro.analysis.taint import TaintPass
 
-#: Bumping this invalidates every cache entry and baseline engine match.
+#: The analyser version reported in SARIF output.
 ENGINE_VERSION = "simlint-2.1"
 
 #: Whole-program rule descriptors: (id, pass, summary).  The per-file
@@ -77,23 +70,17 @@ class PassTiming:
     name: str
     seconds: float
     findings: int
-    cached: bool = False
 
 
 @dataclass
 class WholeProgramStats:
     files_total: int = 0
-    files_reanalysed: int = 0     # per-file lints actually executed
-    run_cache_hit: bool = False
     passes: list[PassTiming] = field(default_factory=list)
 
     def format(self) -> str:
-        lines = [f"files: {self.files_total} "
-                 f"({self.files_reanalysed} re-analysed, "
-                 f"run cache {'hit' if self.run_cache_hit else 'miss'})"]
+        lines = [f"files: {self.files_total}"]
         for p in self.passes:
-            tag = "cached" if p.cached else f"{p.seconds * 1000:7.1f} ms"
-            lines.append(f"  {p.name:<22} {tag:>10}  "
+            lines.append(f"  {p.name:<22} {p.seconds * 1000:7.1f} ms  "
                          f"{p.findings} finding(s)")
         return "\n".join(lines)
 
@@ -106,68 +93,20 @@ class WholeProgramRun:
     stats: WholeProgramStats
 
 
-# ----------------------------------------------------------------------
-# serialization helpers
-# ----------------------------------------------------------------------
-def _to_dict(v: Violation) -> dict:
-    return {"rule": v.rule, "path": v.path, "line": v.line,
-            "col": v.col, "message": v.message}
-
-
-def _from_dict(d: dict) -> Violation:
-    return Violation(d["rule"], d["path"], d["line"], d["col"],
-                     d["message"])
-
-
-def _digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# the driver
-# ----------------------------------------------------------------------
-def run_whole_program(paths, select=None, cache_dir="results/lintcache",
-                      use_cache: bool = True) -> WholeProgramRun:
+def run_whole_program(paths, select=None) -> WholeProgramRun:
     """Run tier-1 rules plus the whole-program passes over ``paths``."""
     selected = {r.upper() for r in select} if select is not None else None
-    sel_key = ",".join(sorted(selected)) if selected is not None else "*"
     files = iter_python_files(paths)
     sources: dict[str, str] = {}
     for f in files:
         sources[str(f)] = Path(f).read_text(encoding="utf-8")
-    hashes = {path: _digest(src) for path, src in sources.items()}
-
     stats = WholeProgramStats(files_total=len(files))
-    cache = _Cache(cache_dir) if use_cache else None
-    run_key = hashlib.sha256(repr(
-        (ENGINE_VERSION, sel_key, sorted(hashes.items()))
-    ).encode("utf-8")).hexdigest()
 
-    if cache is not None:
-        cached_run = cache.load_run(run_key)
-        if cached_run is not None:
-            stats.run_cache_hit = True
-            findings = [_from_dict(d) for d in cached_run["findings"]]
-            for p in cached_run["passes"]:
-                stats.passes.append(PassTiming(p["name"], 0.0,
-                                               p["findings"], cached=True))
-            return WholeProgramRun(findings, stats)
-
-    # -- tier 1: per-file rules through the per-file cache ---------------
+    # -- tier 1: per-file rules ------------------------------------------
     t0 = time.perf_counter()
     tier1: list[Violation] = []
-    file_cache = cache.load_files() if cache is not None else {}
     for path, src in sources.items():
-        key = f"{hashes[path]}:{sel_key}"
-        entry = file_cache.get(key)
-        if entry is not None and entry["path"] == path:
-            tier1.extend(_from_dict(d) for d in entry["violations"])
-            continue
-        violations = lint_source(src, path, select)
-        stats.files_reanalysed += 1
-        tier1.extend(violations)
-        file_cache[key] = {"path": path,
-                           "violations": [_to_dict(v) for v in violations]}
+        tier1.extend(lint_source(src, path, select))
     stats.passes.append(PassTiming("per-file rules",
                                    time.perf_counter() - t0, len(tier1)))
 
@@ -193,14 +132,6 @@ def run_whole_program(paths, select=None, cache_dir="results/lintcache",
 
     findings = tier1 + wp
     findings.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-
-    if cache is not None:
-        cache.save_files(file_cache)
-        cache.save_run(run_key, {
-            "engine": ENGINE_VERSION,
-            "findings": [_to_dict(v) for v in findings],
-            "passes": [{"name": p.name, "findings": p.findings}
-                       for p in stats.passes]})
     return WholeProgramRun(findings, stats)
 
 
@@ -217,106 +148,6 @@ def _filter(project: Project, violations, selected) -> list[Violation]:
             continue
         out.append(v)
     return out
-
-
-class _Cache:
-    """Content-hash caches under ``results/lintcache/``."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-
-    def _read(self, name: str):
-        try:
-            return json.loads((self.root / name).read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-
-    def _write(self, name: str, payload) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / name).write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-    def load_run(self, key: str):
-        data = self._read(f"run-{key}.json")
-        if data is not None and data.get("engine") == ENGINE_VERSION:
-            return data
-        return None
-
-    def save_run(self, key: str, payload: dict) -> None:
-        self._write(f"run-{key}.json", payload)
-
-    def load_files(self) -> dict:
-        data = self._read("files.json")
-        if isinstance(data, dict) \
-                and data.get("engine") == ENGINE_VERSION:
-            return data.get("entries", {})
-        return {}
-
-    def save_files(self, entries: dict) -> None:
-        self._write("files.json",
-                    {"engine": ENGINE_VERSION, "entries": entries})
-
-
-# ----------------------------------------------------------------------
-# baseline workflow
-# ----------------------------------------------------------------------
-def _line_text(sources: dict, v: Violation) -> str:
-    src = sources.get(v.path)
-    if src is None:
-        try:
-            src = Path(v.path).read_text(encoding="utf-8")
-        except OSError:
-            src = ""
-        sources[v.path] = src
-    lines = src.splitlines()
-    if 1 <= v.line <= len(lines):
-        return lines[v.line - 1].strip()
-    return ""
-
-
-def fingerprints(findings, sources: dict | None = None) -> list[str]:
-    """One stable fingerprint per finding, aligned with ``findings``.
-
-    ``sha1(rule|path|stripped source line|occurrence)`` — independent of
-    line *numbers*, so unrelated edits above a legacy finding do not
-    unbaseline it; the occurrence index disambiguates identical lines.
-    """
-    sources = {} if sources is None else sources
-    counts: dict = {}
-    out = []
-    for v in findings:
-        text = _line_text(sources, v)
-        base = f"{v.rule}|{v.path}|{text}"
-        idx = counts.get(base, 0)
-        counts[base] = idx + 1
-        out.append(hashlib.sha1(f"{base}|{idx}".encode("utf-8")).hexdigest())
-    return out
-
-
-def write_baseline(findings, path: str | Path,
-                   sources: dict | None = None) -> int:
-    """Freeze the given findings into a baseline file; returns the count."""
-    prints = sorted(fingerprints(findings, sources))
-    payload = {"engine": ENGINE_VERSION, "version": 1,
-               "fingerprints": prints}
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n", encoding="utf-8")
-    return len(prints)
-
-
-def apply_baseline(findings, baseline_path: str | Path,
-                   sources: dict | None = None):
-    """Split findings into (new, baselined) against a baseline file."""
-    try:
-        data = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-        known = set(data.get("fingerprints", ()))
-    except (OSError, ValueError):
-        known = set()
-    new, baselined = [], []
-    for v, fp in zip(findings, fingerprints(findings, sources)):
-        (baselined if fp in known else new).append(v)
-    return new, baselined
 
 
 # ----------------------------------------------------------------------

@@ -1,55 +1,29 @@
-"""simlint benchmarks: whole-program analysis of ``src/repro``.
+"""simlint benchmark: whole-program analysis of ``src/repro``.
 
-Two points on the incremental-cache curve:
-
-* ``simlint.whole_program_cold`` — full analysis from scratch (cache
-  off): parse + per-file rules + call graph + the three interprocedural
-  passes over the whole tree.  This is what a CI cold run pays.
-* ``simlint.whole_program_warm`` — the same run against a fully warmed
-  cache: content-hash every file, hit the run cache, replay findings.
-  This is what the edit/lint loop pays, and the gate keeps the gap
-  honest — a warm run drifting toward the cold time means the cache
-  broke.
-
-The warm benchmark primes its cache inside the first repeat; the
-harness reports the min over repeats, so the primed repeats are the
-measurement.
+* ``simlint.whole_program_cold`` — parse + per-file rules + call graph +
+  the three interprocedural passes over the whole tree, what every CI
+  run pays.
 """
 
 from __future__ import annotations
 
-import tempfile
 from pathlib import Path
 
 from repro.bench.harness import BenchSpec
 
-#: the tree the analysis benchmarks lint: the installed ``repro`` package
+#: the tree the analysis benchmark lints: the installed ``repro`` package
 _SRC = str(Path(__file__).resolve().parents[1])
-
-_warm_cache: str | None = None
 
 
 def _cold() -> int:
     from repro.analysis.wholeprogram import run_whole_program
 
-    result = run_whole_program([_SRC], use_cache=False)
-    return result.stats.files_total
-
-
-def _warm() -> int:
-    global _warm_cache
-    from repro.analysis.wholeprogram import run_whole_program
-
-    if _warm_cache is None:
-        _warm_cache = tempfile.mkdtemp(prefix="simlint-bench-")
-        run_whole_program([_SRC], cache_dir=_warm_cache)
-    result = run_whole_program([_SRC], cache_dir=_warm_cache)
+    result = run_whole_program([_SRC])
     return result.stats.files_total
 
 
 def specs() -> list[BenchSpec]:
-    """The simlint suite (whole-program analysis, cold vs warm cache)."""
+    """The simlint suite (whole-program analysis)."""
     return [
         BenchSpec("simlint.whole_program_cold", "lint", _cold, repeats=2),
-        BenchSpec("simlint.whole_program_warm", "lint", _warm, repeats=5),
     ]

@@ -16,8 +16,8 @@ pass touched, so a regression in the gate points at a subsystem, not at
 * ``gf.constructions`` — vectorized Vandermonde + Cauchy builds.
 * ``gf.matrix_solve`` — Gauss-Jordan inversion and the symbolic
   :class:`~repro.gf.solve.GFLinearSystem` solve.
-* ``codec.decode_cold`` / ``codec.decode_cached`` — RS decode with the
-  solution-matrix LRU cleared vs. warm (the erasure-pattern cache win).
+* ``codec.decode_cold`` — RS(10,4) decode of two erased chunks, the
+  Gauss-Jordan solve included.
 * ``catalog.striped_ingest`` — ingest 1000 W1 objects into an RS system
   with 256 KiB strips, then list every disk's degraded-read candidates:
   the closed-form strip runs and the per-disk candidate index.  A return
@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.bench.harness import BenchSpec
 from repro.cluster import foreground
-from repro.cluster.codec import DecodeMatrixCache
 from repro.cluster.disk import SSD
 from repro.codes.rs import RSCode
 from repro.gf.matrix import cauchy_matrix, mat_inv, mat_mul, vandermonde
@@ -157,7 +156,7 @@ def _matrix_solve() -> int:
 
 
 # ----------------------------------------------------------------------
-# codec decode (solution-matrix LRU)
+# codec decode
 # ----------------------------------------------------------------------
 _CHUNK = 1 << 14
 _DECODES = 30
@@ -179,19 +178,7 @@ _AVAILABLE = {n: c for n, c in _STRIPE.items() if n not in _ERASED}
 def _decode_cold() -> int:
     out = 0
     for _ in range(_DECODES):
-        _RS._solution_cache.clear()  # force the Gauss-Jordan solve each time
         decoded = _RS.decode(_AVAILABLE, _ERASED, _CHUNK)
-        out ^= int(decoded[0][0])
-    return out
-
-
-_DECODE_CACHE = DecodeMatrixCache()
-
-
-def _decode_cached() -> int:
-    out = 0
-    for _ in range(_DECODES):
-        decoded = _DECODE_CACHE.decode(_RS, _AVAILABLE, _ERASED, _CHUNK)
         out ^= int(decoded[0][0])
     return out
 
@@ -250,8 +237,6 @@ def specs() -> list[BenchSpec]:
         BenchSpec("gf.constructions", "micro", _constructions, units=200),
         BenchSpec("gf.matrix_solve", "micro", _matrix_solve),
         BenchSpec("codec.decode_cold", "micro", _decode_cold,
-                  units=_DECODES),
-        BenchSpec("codec.decode_cached", "micro", _decode_cached,
                   units=_DECODES),
         BenchSpec("catalog.striped_ingest", "micro", _striped_ingest,
                   units=_N_STRIPED, repeats=5),

@@ -12,7 +12,7 @@ Composition::
 """
 
 from repro.cluster.catalog import Catalog, StoredObject
-from repro.cluster.codec import DEFAULT_CODEC, CodecModel, DecodeMatrixCache
+from repro.cluster.codec import DEFAULT_CODEC, CodecModel
 from repro.cluster.disk import BACKGROUND, FOREGROUND, HDD, SSD, Disk, DiskModel
 from repro.cluster.foreground import start_foreground_load
 from repro.cluster.ingestion import measure_puts, run_batch_export
@@ -33,7 +33,6 @@ __all__ = [
     "StoredObject",
     "DEFAULT_CODEC",
     "CodecModel",
-    "DecodeMatrixCache",
     "BACKGROUND",
     "FOREGROUND",
     "HDD",

@@ -1,30 +1,16 @@
-"""Codec throughput model (§5.2 "Encoding Optimization") and decode cache.
+"""Codec throughput model (§5.2 "Encoding Optimization").
 
 The paper's SIMD C implementation reaches 22.3 GB/s encode, 18.5 GB/s
 decode, and 5.0 GB/s single-node regeneration per 12-core server.  Our
 Python codecs are obviously slower, so simulated time uses these published
 rates rather than wall-clock codec time; the byte-level codecs remain the
-source of *what* is read, not of how long arithmetic takes.
-
-:class:`DecodeMatrixCache` complements the model on the byte-level side: a
-cluster repairing one failed disk decodes thousands of stripes with the
-*same* erasure pattern, and the Gauss-Jordan solve that derives the decode
-matrix is pure overhead after the first stripe.  The cache memoizes the
-direct reconstruction matrix (erased chunks as a linear map of the
-available chunks) in a bounded LRU keyed by (code, erasure pattern).
+source of *what* is read, not of how long arithmetic takes, and no
+simulated path runs them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
-
-from repro.codes.base import ScalarLinearCode
-from repro.gf.field import gf_xor_mul_into
-from repro.gf.matrix import mat_mul
 
 GB = 1 << 30
 
@@ -51,79 +37,3 @@ class CodecModel:
 
 
 DEFAULT_CODEC = CodecModel()
-
-
-class DecodeMatrixCache:
-    """Bounded LRU of reconstruction matrices keyed by erasure pattern.
-
-    For a :class:`~repro.codes.ScalarLinearCode` with generator ``G``, the
-    erased chunks are ``G[erased] @ R @ chunks[available]`` where ``R`` is
-    the data-solution matrix of the available rows.  The product
-    ``M = G[erased] @ R`` depends only on the erasure pattern, so repeated
-    decodes of the same pattern (every stripe of a failed disk) reuse one
-    cached ``M`` and skip both the Gauss-Jordan solve and the matrix
-    product.  ``decode`` applied through the cache is bit-identical to
-    ``code.decode`` — same field, same row order — just without the
-    per-stripe matrix derivation.
-    """
-
-    def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._matrices: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._matrices)
-
-    def clear(self) -> None:
-        """Drop all cached matrices (stats are kept)."""
-        self._matrices.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def matrix(self, code: ScalarLinearCode, available_nodes: Sequence[int],
-               erased: Sequence[int]) -> np.ndarray:
-        """The matrix M with ``chunks[erased] = M @ chunks[available]``.
-
-        ``available_nodes`` and ``erased`` are normalized (sorted, deduped)
-        before keying, matching ``ScalarLinearCode.decode``'s ordering.  The
-        returned array must be treated as read-only.
-        """
-        avail = tuple(sorted(set(available_nodes) - set(erased)))
-        want = tuple(sorted(set(erased)))
-        key = (code.name, avail, want)
-        cache = self._matrices
-        m = cache.get(key)
-        if m is not None:
-            self.hits += 1
-            cache.move_to_end(key)
-            return m
-        self.misses += 1
-        solution = code.solution_matrix(avail)
-        m = mat_mul(code.generator[list(want)], solution)
-        cache[key] = m
-        if len(cache) > self.capacity:
-            cache.popitem(last=False)
-        return m
-
-    def decode(self, code: ScalarLinearCode,
-               available: Mapping[int, np.ndarray], erased: Sequence[int],
-               chunk_size: int) -> dict[int, np.ndarray]:
-        """Recover the erased chunks via the cached reconstruction matrix."""
-        erased_sorted = sorted(set(erased))
-        usable = sorted(set(available) - set(erased_sorted))
-        m = self.matrix(code, usable, erased_sorted)
-        out: dict[int, np.ndarray] = {}
-        for row, node in enumerate(erased_sorted):
-            acc = np.zeros(chunk_size, dtype=np.uint8)
-            for idx, helper in enumerate(usable):
-                gf_xor_mul_into(acc, int(m[row, idx]), available[helper])
-            out[node] = acc
-        return out

@@ -9,13 +9,15 @@ Terminology (matching the paper):
 * A :class:`RepairPlan` names exactly which byte ranges a repair must read
   from which surviving nodes.  The storage simulator consumes plans (it never
   moves real bytes); the codecs also honour them, and the test-suite verifies
-  that repairs succeed when given *only* the planned bytes.
+  that repairs succeed when given *only* the planned bytes.  Simulated time
+  charges codec work at the paper's published rates
+  (:mod:`repro.cluster.codec`), so only tests, benchmarks and examples
+  run the byte-level encode/decode paths here.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -220,10 +222,6 @@ class ScalarLinearCode(ErasureCode):
     non-MDS codes such as LRC).
     """
 
-    #: bound on the per-instance solution-matrix LRU; with n <= 256 nodes the
-    #: single-failure patterns a simulation replays fit comfortably.
-    SOLUTION_CACHE_SIZE = 128
-
     def __init__(self, generator: np.ndarray, k: int, r: int):
         if generator.shape != (k + r, k):
             raise ValueError(f"generator must be {(k + r, k)}, got {generator.shape}")
@@ -232,8 +230,6 @@ class ScalarLinearCode(ErasureCode):
         self.generator = generator.astype(np.uint8)
         self.k = k
         self.r = r
-        self._solution_cache: OrderedDict[tuple[int, ...], np.ndarray] = \
-            OrderedDict()
 
     def encode(self, data_chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
         from repro.gf.field import gf_xor_mul_into
@@ -270,30 +266,20 @@ class ScalarLinearCode(ErasureCode):
             out[node] = acc
         return out
 
-    def solution_matrix(self, nodes: Sequence[int]) -> np.ndarray:
-        """The ``k x len(nodes)`` matrix R with ``data = R @ chunks[nodes]``.
-
-        ``nodes`` must be sorted surviving-node indices.  Row reduction only
-        depends on the erasure pattern, not on the chunk payloads, so the
-        result is memoized in a bounded per-instance LRU — a simulation
-        replaying the same single-disk failure decodes thousands of stripes
-        with one pattern, and the Gauss-Jordan pass dominated decode time.
-        Callers must treat the returned array as read-only.
-        """
+    def _solve_data(self, available: Mapping[int, np.ndarray],
+                    chunk_size: int) -> list[np.ndarray]:
+        """Recover the k data chunks from any decodable set of chunks."""
+        from repro.gf.field import gf_xor_mul_into
         from repro.gf.solve import UnderdeterminedSystemError
 
-        key = tuple(nodes)
-        cache = self._solution_cache
-        solution = cache.get(key)
-        if solution is not None:
-            cache.move_to_end(key)
-            return solution
-        nodes = list(key)
+        nodes = sorted(available)
         rank = mat_rank(self.generator[nodes])
         if rank < self.k:
             raise DecodeError(
                 f"erasure pattern not decodable: available nodes {nodes} "
                 f"span rank {rank} < k={self.k}")
+        # Row-reduce the available generator rows to R with
+        # data = R @ chunks[nodes].
         system = GFLinearSystem(self.k, len(nodes))
         for idx, node in enumerate(nodes):
             system.add_equation(
@@ -304,18 +290,6 @@ class ScalarLinearCode(ErasureCode):
             solution = system.solve()
         except UnderdeterminedSystemError as exc:  # pragma: no cover - guarded by rank
             raise DecodeError(str(exc)) from exc
-        cache[key] = solution
-        if len(cache) > self.SOLUTION_CACHE_SIZE:
-            cache.popitem(last=False)
-        return solution
-
-    def _solve_data(self, available: Mapping[int, np.ndarray],
-                    chunk_size: int) -> list[np.ndarray]:
-        """Recover the k data chunks from any decodable set of chunks."""
-        from repro.gf.field import gf_xor_mul_into
-
-        nodes = sorted(available)
-        solution = self.solution_matrix(nodes)
         data = []
         for j in range(self.k):
             acc = np.zeros(chunk_size, dtype=np.uint8)

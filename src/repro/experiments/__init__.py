@@ -29,7 +29,6 @@ from repro.experiments.common import (
     build_system,
     cluster_config,
     format_table,
-    sample_requests,
     setting_by_name,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "build_system",
     "cluster_config",
     "format_table",
-    "sample_requests",
     "setting_by_name",
 ]

@@ -297,8 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     options = RunOptions(
         jobs=args.jobs, seed=args.seed, cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        capture=Capture(trace=want_trace, metrics=args.metrics,
-                        invariants=args.check_invariants,
+        capture=Capture(trace=want_trace, invariants=args.check_invariants,
                         timeline=want_timeline,
                         sample_interval=args.sample_interval,
                         profile=args.profile,

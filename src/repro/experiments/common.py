@@ -158,24 +158,6 @@ def sample_workload(setting: WorkloadSetting, n_objects: int,
     return setting.workload.sample_sizes(np.random.default_rng(seed), n_objects)
 
 
-def sample_requests(objects, setting: WorkloadSetting, n_requests: int,
-                    seed: int = 0) -> list:
-    """Pick request targets from candidate objects following the workload's
-    size-biased request distribution (Figure 7b / Table 2)."""
-    if not objects:
-        raise ValueError("no candidate objects")
-    sizes = np.array([o.size for o in objects], dtype=np.float64)
-    try:
-        sampler = RequestSampler(sizes, setting.workload.mean_request_size)
-    except ValueError:
-        # The candidate subset cannot reach the global mean; keep its shape.
-        theta = 0.25 if setting.workload.mean_request_size \
-            >= setting.workload.mean_object_size else -0.25
-        sampler = RequestSampler(sizes, theta=theta)
-    rng = np.random.default_rng(seed)
-    return [objects[i] for i in sampler.sample_indices(rng, n_requests)]
-
-
 def request_size_targets(setting: WorkloadSetting, all_sizes: np.ndarray,
                          n_requests: int, seed: int = 0) -> np.ndarray:
     """Request sizes drawn once from the workload's request distribution,

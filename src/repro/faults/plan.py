@@ -252,31 +252,6 @@ class FaultPlan:
                               helper_timeout=helper_timeout)
 
     @classmethod
-    def exponential_crashes(cls, rate: float, horizon: float, n_disks: int,
-                            seed: int, max_failures: int | None = None
-                            ) -> "FaultPlan":
-        """Disk crashes with exponential inter-arrival times.
-
-        ``rate`` is crashes per sim second; arrivals past ``horizon`` are
-        dropped.  Each crash picks a distinct disk uniformly at random.
-        """
-        if rate <= 0 or horizon <= 0:
-            raise ValueError("rate and horizon must be positive")
-        rng = np.random.default_rng(seed)
-        events: list[FaultEvent] = []
-        alive = list(range(n_disks))
-        t = 0.0
-        while alive:
-            t += float(rng.exponential(1.0 / rate))
-            if t > horizon:
-                break
-            victim = alive.pop(int(rng.integers(len(alive))))
-            events.append(FaultEvent("disk_crash", at=t, disk=victim))
-            if max_failures is not None and len(events) >= max_failures:
-                break
-        return cls(events=tuple(events))
-
-    @classmethod
     def correlated_node_burst(cls, node: int, disks_per_node: int,
                               seed: int, at: float, spread: float = 1.0,
                               kind: str = "disk_slow", factor: float = 4.0,
@@ -319,50 +294,4 @@ class FaultPlan:
         for i, node in enumerate(nodes):
             events += _node_burst(int(node), disks_per_node, seed + i, at,
                                   spread, kind, factor, duration)
-        return cls(events=tuple(events))
-
-    # ------------------------------------------------------------------
-    # Latent-error / scrub constructors (the durability model's inputs)
-    # ------------------------------------------------------------------
-    @classmethod
-    def latent_errors(cls, rate: float, horizon: float, n_disks: int,
-                      seed: int) -> "FaultPlan":
-        """Hidden sector errors with exponential inter-arrival times.
-
-        ``rate`` is arrivals per sim second across the whole fleet;
-        arrivals past ``horizon`` are dropped.  Each error lands on a
-        uniformly random disk and stays hidden until a read trips over it
-        or a ``scrub`` event repairs it.
-        """
-        if rate <= 0 or horizon <= 0:
-            raise ValueError("rate and horizon must be positive")
-        rng = np.random.default_rng(seed)
-        events: list[FaultEvent] = []
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / rate))
-            if t > horizon:
-                break
-            disk = int(rng.integers(n_disks))
-            events.append(FaultEvent("latent_error", at=t, disk=disk))
-        return cls(events=tuple(events))
-
-    @classmethod
-    def scrub_schedule(cls, n_disks: int, interval: float, horizon: float,
-                       seed: int = 0) -> "FaultPlan":
-        """Periodic per-disk scrub passes with seeded phase offsets.
-
-        Every disk is scrubbed each ``interval`` seconds starting from a
-        uniformly random phase in ``[0, interval)`` — staggered so the
-        fleet's scrub load is flat, not a synchronised thundering herd.
-        """
-        if interval <= 0 or horizon <= 0:
-            raise ValueError("interval and horizon must be positive")
-        rng = np.random.default_rng(seed)
-        events: list[FaultEvent] = []
-        for disk in range(n_disks):
-            t = float(rng.uniform(0.0, interval))
-            while t <= horizon:
-                events.append(FaultEvent("scrub", at=t, disk=disk))
-                t += interval
         return cls(events=tuple(events))

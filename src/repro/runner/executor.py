@@ -44,15 +44,15 @@ from repro.runner.scenario import Scenario
 class Capture:
     """Which observability payloads units must produce and ship back.
 
-    ``timeline`` samples the metric registry on a sim-time grid
-    (``sample_interval`` sim seconds; ``None`` auto-scales), ``profile``
+    Every unit ships its metrics and engine counters; ``trace`` adds the
+    span events.  ``timeline`` samples the metric registry on a sim-time
+    grid (``sample_interval`` sim seconds; ``None`` auto-scales), ``profile``
     attributes wall time per process site, and ``flightrec`` (a directory
     path) arms a flight recorder that dumps a postmortem bundle there when
     a unit's compute raises or accumulates incidents.
     """
 
     trace: bool = False
-    metrics: bool = False
     invariants: bool = False
     timeline: bool = False
     sample_interval: float | None = None

@@ -2,25 +2,22 @@
 
 The paper's closed-loop client threads (§6.2) cap offered load at
 service capacity; this package generates *open-loop* arrival streams —
-Poisson or diurnal-modulated rates, Zipf object popularity — so the
+Poisson arrivals, Zipf object popularity — so the
 latency-SLO-vs-recovery-speed frontier of each scheme becomes
 measurable.  Everything is a pure function of a ``SeedSequence``-derived
 generator, preserving the runner's bit-identity discipline.
 """
 
-from repro.traffic.arrivals import DiurnalArrivals, PoissonArrivals
+from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.popularity import ZipfPopularity
-from repro.traffic.schedule import TrafficSchedule, arrival_process, \
-    build_schedule
+from repro.traffic.schedule import TrafficSchedule, build_schedule
 from repro.traffic.tenants import BATCH_LANE, DEFAULT_TENANTS, \
     INTERACTIVE_LANE, SloSummary, TenantSpec, summarize_slo, validate_tenants
 
 __all__ = [
     "PoissonArrivals",
-    "DiurnalArrivals",
     "ZipfPopularity",
     "TrafficSchedule",
-    "arrival_process",
     "build_schedule",
     "TenantSpec",
     "SloSummary",

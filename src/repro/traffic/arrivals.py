@@ -1,27 +1,20 @@
-"""Open-loop arrival processes: Poisson and diurnal-modulated rates.
+"""Open-loop arrival process: homogeneous Poisson arrivals.
 
 The paper's "busy" experiments (§6.2) run a *closed* loop — 15 x 8 client
 threads that each issue the next read when the previous one returns — so
 offered load can never exceed service capacity and queueing delay is
 invisible.  Serving real traffic is *open loop*: requests arrive on their
 own clock whether or not the system has finished the previous ones, and
-tail latency explodes as the arrival rate approaches saturation.  These
-processes generate such arrival streams.
+tail latency explodes as the arrival rate approaches saturation.
+:class:`PoissonArrivals` generates such arrival streams.
 
-Every process is a pure function of the :class:`numpy.random.Generator`
+The process is a pure function of the :class:`numpy.random.Generator`
 it is handed: two generators seeded identically produce byte-identical
 streams, which is what lets the scenario runner replay traffic schedules
-bit-for-bit across ``--jobs`` values and cache hits.
-
-* :class:`PoissonArrivals` — a homogeneous Poisson process of the given
-  rate, sampled exactly (a Poisson count over the horizon, then ordered
-  uniforms) rather than by summing exponentials, so generating a
-  million-request hour is two vectorized draws, not a Python loop.
-* :class:`DiurnalArrivals` — a non-homogeneous Poisson process whose
-  rate follows a day/night sinusoid, sampled by thinning a homogeneous
-  envelope at the peak rate.  The thinning keeps per-arrival draws
-  aligned with arrival times, so the stream stays a pure function of the
-  seed regardless of how many arrivals survive.
+bit-for-bit across ``--jobs`` values and cache hits.  It samples exactly
+(a Poisson count over the horizon, then ordered uniforms) rather than
+by summing exponentials, so generating a million-request hour is two
+vectorized draws, not a Python loop.
 """
 
 from __future__ import annotations
@@ -41,10 +34,6 @@ class PoissonArrivals:
         if self.rate <= 0:
             raise ValueError("arrival rate must be positive")
 
-    def mean_arrivals(self, duration: float) -> float:
-        """Expected number of arrivals over ``duration`` seconds."""
-        return self.rate * duration
-
     def times(self, rng: np.random.Generator, duration: float) -> np.ndarray:
         """Sorted arrival timestamps in ``[0, duration)``.
 
@@ -55,59 +44,3 @@ class PoissonArrivals:
             raise ValueError("duration must be positive")
         n = int(rng.poisson(self.rate * duration))
         return np.sort(rng.uniform(0.0, duration, size=n))
-
-
-@dataclass(frozen=True)
-class DiurnalArrivals:
-    """Non-homogeneous Poisson arrivals with a day/night sinusoid.
-
-    The instantaneous rate is ``rate * (1 + amplitude * sin(2*pi*t /
-    period + phase))`` — ``rate`` is the *mean* rate, the peak is
-    ``rate * (1 + amplitude)``.  ``amplitude`` must stay below 1 so the
-    rate never goes negative.
-    """
-
-    rate: float
-    amplitude: float = 0.5
-    period: float = 86_400.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("arrival rate must be positive")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError("amplitude must be in [0, 1)")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    def rate_at(self, t: float | np.ndarray) -> float | np.ndarray:
-        """The instantaneous arrival rate at time ``t``."""
-        return self.rate * (1.0 + self.amplitude
-                            * np.sin(2.0 * np.pi * t / self.period
-                                     + self.phase))
-
-    def mean_arrivals(self, duration: float) -> float:
-        """Expected number of arrivals over ``duration`` seconds.
-
-        The integral of the sinusoidal rate over the horizon (closed
-        form, so schedule builders can size buffers without sampling).
-        """
-        w = 2.0 * np.pi / self.period
-        integral = duration - (np.cos(w * duration + self.phase)
-                               - np.cos(self.phase)) * self.amplitude / w
-        return float(self.rate * integral)
-
-    def times(self, rng: np.random.Generator, duration: float) -> np.ndarray:
-        """Sorted arrival timestamps in ``[0, duration)`` by thinning.
-
-        A homogeneous envelope at the peak rate is sampled exactly, then
-        each candidate survives with probability ``rate(t) / peak`` —
-        one uniform per candidate, drawn in candidate-time order.
-        """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        peak = self.rate * (1.0 + self.amplitude)
-        n = int(rng.poisson(peak * duration))
-        candidates = np.sort(rng.uniform(0.0, duration, size=n))
-        keep = rng.random(n) * peak < self.rate_at(candidates)
-        return candidates[keep]

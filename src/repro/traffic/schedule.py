@@ -4,7 +4,7 @@ A :class:`TrafficSchedule` is the fully materialised input of one
 open-loop serving run: sorted arrival timestamps plus, per arrival, the
 issuing tenant and the target object index.  Building one is pure
 sampling — no simulation state — so a schedule is a function of
-``(tenants, arrival process, popularity, seed)`` alone and can be
+``(tenants, arrival rate, popularity, seed)`` alone and can be
 rebuilt bit-for-bit in any worker process.
 
 Seeding follows the runner's ``SeedSequence`` discipline: the root seed
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.traffic.arrivals import DiurnalArrivals, PoissonArrivals
+from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.popularity import ZipfPopularity
 from repro.traffic.tenants import TenantSpec, validate_tenants
 
@@ -54,28 +54,9 @@ class TrafficSchedule:
         return {t.name: int(counts[i]) for i, t in enumerate(self.tenants)}
 
 
-def arrival_process(kind: str, rate: float, *, diurnal_amplitude: float = 0.5,
-                    diurnal_period: float | None = None,
-                    duration: float | None = None):
-    """The arrival process named by ``kind`` at mean ``rate`` per second.
-
-    ``diurnal`` defaults its period to the horizon, so a short simulated
-    window still sweeps one full peak-trough cycle.
-    """
-    if kind == "poisson":
-        return PoissonArrivals(rate)
-    if kind == "diurnal":
-        period = diurnal_period if diurnal_period is not None \
-            else (duration if duration else 86_400.0)
-        return DiurnalArrivals(rate, amplitude=diurnal_amplitude,
-                               period=period)
-    raise ValueError(f"unknown arrival process {kind!r}")
-
-
 def build_schedule(tenants: tuple[TenantSpec, ...], rate: float,
                    duration: float, n_objects: int, seed,
-                   kind: str = "poisson", zipf_alpha: float = 0.9,
-                   ) -> TrafficSchedule:
+                   zipf_alpha: float = 0.9) -> TrafficSchedule:
     """Materialise the merged arrival stream for one serving run.
 
     ``seed`` is an int or a :class:`numpy.random.SeedSequence`; every
@@ -96,9 +77,7 @@ def build_schedule(tenants: tuple[TenantSpec, ...], rate: float,
     all_objects: list[np.ndarray] = []
     for i, tenant in enumerate(tenants):
         rng = np.random.default_rng(tenant_ss[i])
-        process = arrival_process(kind, rate * tenant.share,
-                                  duration=duration)
-        times = process.times(rng, duration)
+        times = PoissonArrivals(rate * tenant.share).times(rng, duration)
         all_times.append(times)
         all_tenants.append(np.full(times.size, i, dtype=np.int64))
         all_objects.append(popularity.sample(rng, times.size)

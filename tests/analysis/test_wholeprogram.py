@@ -1,4 +1,4 @@
-"""Whole-program driver: incremental cache, baseline workflow, SARIF and
+"""Whole-program driver: findings, suppressions, SARIF and
 GitHub-annotation output, and the CLI flags that expose them."""
 
 import json
@@ -7,12 +7,9 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.analysis.wholeprogram import (
-    apply_baseline,
-    fingerprints,
     run_whole_program,
     to_github,
     to_sarif,
-    write_baseline,
 )
 
 STALE_SNAPSHOT = """\
@@ -61,57 +58,23 @@ def dirty_tree(tmp_path):
     })
 
 
-def run(tree, cache, **kwargs):
-    return run_whole_program([str(tree)], cache_dir=str(cache), **kwargs)
+def run(tree, **kwargs):
+    return run_whole_program([str(tree)], **kwargs)
 
 
 # ----------------------------------------------------------------------
-# Driver + incremental cache
+# Driver
 # ----------------------------------------------------------------------
-def test_whole_program_finds_cross_function_race(dirty_tree, tmp_path):
-    result = run(dirty_tree, tmp_path / "cache")
+def test_whole_program_finds_cross_function_race(dirty_tree):
+    result = run(dirty_tree)
     assert [v.rule for v in result.findings] == ["RACE801"]
     assert result.stats.files_total == 2
-    assert result.stats.files_reanalysed == 2
-    assert not result.stats.run_cache_hit
 
 
-def test_second_run_reanalyses_nothing_and_matches(dirty_tree, tmp_path):
-    cache = tmp_path / "cache"
-    first = run(dirty_tree, cache)
-    second = run(dirty_tree, cache)
-    assert second.stats.run_cache_hit
-    assert second.stats.files_reanalysed == 0
-    assert all(t.cached for t in second.stats.passes)
-    assert [(v.rule, v.path, v.line, v.col, v.message)
-            for v in second.findings] == \
-        [(v.rule, v.path, v.line, v.col, v.message) for v in first.findings]
-
-
-def test_editing_one_file_reanalyses_only_that_file(dirty_tree, tmp_path):
-    cache = tmp_path / "cache"
-    run(dirty_tree, cache)
-    util = dirty_tree / "src/repro/cluster/util.py"
-    util.write_text(CLEAN + "\n\ndef other(y):\n    return y\n",
-                    encoding="utf-8")
-    third = run(dirty_tree, cache)
-    assert not third.stats.run_cache_hit       # the run key changed
-    assert third.stats.files_reanalysed == 1   # per-file tier: just util.py
-    assert [v.rule for v in third.findings] == ["RACE801"]
-
-
-def test_no_cache_bypasses_reads_and_writes(dirty_tree, tmp_path):
-    cache = tmp_path / "cache"
-    run(dirty_tree, cache)
-    result = run(dirty_tree, cache, use_cache=False)
-    assert not result.stats.run_cache_hit
-    assert result.stats.files_reanalysed == 2
-
-
-def test_select_narrows_whole_program_findings(dirty_tree, tmp_path):
-    result = run(dirty_tree, tmp_path / "c1", select=["RACE802"])
+def test_select_narrows_whole_program_findings(dirty_tree):
+    result = run(dirty_tree, select=["RACE802"])
     assert result.findings == []
-    result = run(dirty_tree, tmp_path / "c2", select=["RACE801"])
+    result = run(dirty_tree, select=["RACE801"])
     assert [v.rule for v in result.findings] == ["RACE801"]
 
 
@@ -121,71 +84,18 @@ def test_suppression_comment_silences_whole_program_rules(tmp_path):
         "                self.repick(failed)"
         "  # simlint: disable=RACE801")
     tree = project_dir(tmp_path, {"src/repro/cluster/engine.py": silenced})
-    result = run(tree, tmp_path / "cache")
+    result = run(tree)
     assert result.findings == []
-
-
-# ----------------------------------------------------------------------
-# Baseline workflow
-# ----------------------------------------------------------------------
-def test_baseline_roundtrip_suppresses_known_findings(dirty_tree, tmp_path):
-    result = run(dirty_tree, tmp_path / "cache")
-    baseline = tmp_path / "baseline.json"
-    assert write_baseline(result.findings, baseline) == 1
-    fresh, baselined = apply_baseline(result.findings, baseline)
-    assert fresh == []
-    assert len(baselined) == 1
-
-
-def test_baseline_fingerprints_survive_pure_line_shifts(dirty_tree, tmp_path):
-    result = run(dirty_tree, tmp_path / "cache")
-    baseline = tmp_path / "baseline.json"
-    write_baseline(result.findings, baseline)
-    # prepend a comment block: every finding moves down two lines but
-    # the (rule, path, line-text, occurrence) fingerprint is unchanged
-    engine = dirty_tree / "src/repro/cluster/engine.py"
-    engine.write_text("# moved\n# down\n" + STALE_SNAPSHOT,
-                      encoding="utf-8")
-    shifted = run(dirty_tree, tmp_path / "cache2")
-    assert [v.rule for v in shifted.findings] == ["RACE801"]
-    fresh, baselined = apply_baseline(shifted.findings, baseline)
-    assert fresh == []
-    assert len(baselined) == 1
-
-
-def test_new_findings_are_not_masked_by_the_baseline(dirty_tree, tmp_path):
-    result = run(dirty_tree, tmp_path / "cache")
-    baseline = tmp_path / "baseline.json"
-    write_baseline(result.findings, baseline)
-    util = dirty_tree / "src/repro/cluster/util.py"
-    util.write_text(STALE_SNAPSHOT.replace("failed", "stale"),
-                    encoding="utf-8")
-    noisier = run(dirty_tree, tmp_path / "cache2")
-    fresh, baselined = apply_baseline(noisier.findings, baseline)
-    assert [v.rule for v in fresh] == ["RACE801"]
-    assert "util.py" in fresh[0].path
-    assert len(baselined) == 1
-
-
-def test_fingerprints_disambiguate_identical_lines(tmp_path):
-    # two byte-identical offending lines in one file must not collide
-    result_fps = fingerprints  # alias for line length
-    from repro.analysis.linter import Violation
-    v1 = Violation("RACE801", "m.py", 3, 0, "x")
-    v2 = Violation("RACE801", "m.py", 7, 0, "x")
-    sources = {"m.py": "a\n\nuse(failed)\n\n\n\nuse(failed)\n"}
-    fp = result_fps([v1, v2], sources)
-    assert len(fp) == 2 and fp[0] != fp[1]
 
 
 # ----------------------------------------------------------------------
 # SARIF + GitHub output
 # ----------------------------------------------------------------------
-def test_sarif_is_valid_and_byte_stable(dirty_tree, tmp_path):
-    first = run(dirty_tree, tmp_path / "cache")
-    second = run(dirty_tree, tmp_path / "cache")
+def test_sarif_is_valid_and_byte_stable(dirty_tree):
+    first = run(dirty_tree)
+    second = run(dirty_tree)
     doc_a, doc_b = to_sarif(first.findings), to_sarif(second.findings)
-    assert doc_a == doc_b  # byte-identical across cached/uncached runs
+    assert doc_a == doc_b  # byte-identical across runs
     sarif = json.loads(doc_a)
     assert sarif["version"] == "2.1.0"
     runs = sarif["runs"][0]
@@ -199,8 +109,8 @@ def test_sarif_is_valid_and_byte_stable(dirty_tree, tmp_path):
     assert [r["id"] for r in rules] == ["RACE801"]
 
 
-def test_github_annotations_escape_newlines_and_locate(dirty_tree, tmp_path):
-    result = run(dirty_tree, tmp_path / "cache")
+def test_github_annotations_escape_newlines_and_locate(dirty_tree):
+    result = run(dirty_tree)
     out = to_github(result.findings)
     line = out.splitlines()[0]
     assert line.startswith("::error file=")
@@ -216,35 +126,17 @@ def test_github_annotations_escape_newlines_and_locate(dirty_tree, tmp_path):
 # ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
-def test_cli_whole_program_exit_codes_and_stats(dirty_tree, tmp_path,
-                                                capsys):
-    cache = str(tmp_path / "cache")
-    assert main(["--whole-program", "--stats", "--cache-dir", cache,
-                 str(dirty_tree)]) == 1
+def test_cli_whole_program_exit_codes_and_stats(dirty_tree, capsys):
+    assert main(["--whole-program", "--stats", str(dirty_tree)]) == 1
     captured = capsys.readouterr()
     assert "RACE801" in captured.out
-    assert "re-analysed" in captured.err
-
-    assert main(["--whole-program", "--stats", "--cache-dir", cache,
-                 str(dirty_tree)]) == 1
-    captured = capsys.readouterr()
-    assert "0 re-analysed, run cache hit" in captured.err
+    assert "files: 2" in captured.err
+    assert "per-file rules" in captured.err
+    assert "race detection" in captured.err
 
 
-def test_cli_baseline_workflow_end_to_end(dirty_tree, tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    baseline = str(tmp_path / "baseline.json")
-    assert main(["--whole-program", "--write-baseline", baseline,
-                 "--cache-dir", cache, str(dirty_tree)]) == 0
-    assert "baseline of 1 finding(s)" in capsys.readouterr().out
-    assert main(["--whole-program", "--baseline", baseline,
-                 "--cache-dir", cache, str(dirty_tree)]) == 0
-    assert "(1 baselined)" in capsys.readouterr().out
-
-
-def test_cli_sarif_format(dirty_tree, tmp_path, capsys):
+def test_cli_sarif_format(dirty_tree, capsys):
     assert main(["--whole-program", "--format", "sarif",
-                 "--cache-dir", str(tmp_path / "cache"),
                  str(dirty_tree)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["runs"][0]["results"][0]["ruleId"] == "RACE801"

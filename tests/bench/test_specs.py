@@ -20,11 +20,6 @@ def test_micro_spec_bodies_run(spec):
     assert spec.units >= 1
 
 
-def test_micro_decode_paths_agree():
-    """Cold and cached decode benchmarks compute the same checksum."""
-    assert micro._decode_cold() == micro._decode_cached()
-
-
 def test_micro_engine_benchmarks_advance_the_clock():
     assert micro._event_throughput() == float(micro._N_EVENTS)
     assert micro._ready_lane() == 0.0  # zero-delay storm never moves time

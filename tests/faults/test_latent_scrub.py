@@ -1,5 +1,5 @@
-"""The ``latent_error`` / ``scrub`` fault kinds: JSON, generator
-determinism, and the scrub-vs-read discovery race at the injector."""
+"""The ``latent_error`` / ``scrub`` fault kinds: JSON and the
+scrub-vs-read discovery race at the injector."""
 
 import pytest
 
@@ -36,41 +36,6 @@ def test_json_round_trip():
         FaultEvent("scrub", at=2.0, disk=0),
         FaultEvent("scrub", at_progress=0.7, disk=1)))
     assert FaultPlan.from_json(plan.to_json()) == plan
-
-
-def test_latent_errors_generator_deterministic_per_seed():
-    a = FaultPlan.latent_errors(rate=0.5, horizon=50.0, n_disks=8, seed=4)
-    b = FaultPlan.latent_errors(rate=0.5, horizon=50.0, n_disks=8, seed=4)
-    c = FaultPlan.latent_errors(rate=0.5, horizon=50.0, n_disks=8, seed=5)
-    assert a == b
-    assert a != c
-    times = [e.at for e in a.events]
-    assert times == sorted(times)
-    assert all(0.0 < t <= 50.0 for t in times)
-    assert {e.kind for e in a.events} == {"latent_error"}
-    assert all(0 <= e.disk < 8 for e in a.events)
-    with pytest.raises(ValueError, match="positive"):
-        FaultPlan.latent_errors(rate=0.0, horizon=1.0, n_disks=2, seed=0)
-
-
-def test_scrub_schedule_staggers_phases_and_covers_every_disk():
-    plan = FaultPlan.scrub_schedule(n_disks=4, interval=10.0, horizon=35.0,
-                                    seed=2)
-    assert plan == FaultPlan.scrub_schedule(n_disks=4, interval=10.0,
-                                            horizon=35.0, seed=2)
-    by_disk: dict[int, list[float]] = {}
-    for e in plan.events:
-        assert e.kind == "scrub"
-        by_disk.setdefault(e.disk, []).append(e.at)
-    assert set(by_disk) == {0, 1, 2, 3}
-    for times in by_disk.values():
-        assert times[0] < 10.0            # seeded phase in [0, interval)
-        for prev, nxt in zip(times, times[1:]):
-            assert nxt == pytest.approx(prev + 10.0)
-    # Different disks get different phases (staggered, not a herd).
-    assert len({round(t[0], 6) for t in by_disk.values()}) > 1
-    with pytest.raises(ValueError, match="positive"):
-        FaultPlan.scrub_schedule(n_disks=4, interval=0.0, horizon=1.0)
 
 
 # ----------------------------------------------------------------------

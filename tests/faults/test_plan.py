@@ -103,22 +103,6 @@ class TestSeededGenerators:
         assert a != c
         assert len(a.events) == round(0.1 * 96)
 
-    def test_exponential_crashes_reproducible_and_bounded(self):
-        a = FaultPlan.exponential_crashes(rate=0.5, horizon=10.0,
-                                          n_disks=20, seed=3)
-        b = FaultPlan.exponential_crashes(rate=0.5, horizon=10.0,
-                                          n_disks=20, seed=3)
-        assert a == b
-        times = [e.at for e in a.events]
-        assert times == sorted(times)
-        assert all(t <= 10.0 for t in times)
-        disks = [e.disk for e in a.events]
-        assert len(disks) == len(set(disks)), "each disk crashes once"
-        capped = FaultPlan.exponential_crashes(rate=5.0, horizon=10.0,
-                                               n_disks=20, seed=3,
-                                               max_failures=2)
-        assert len(capped.events) <= 2
-
     def test_correlated_node_burst_covers_the_node(self):
         plan = FaultPlan.correlated_node_burst(node=2, disks_per_node=6,
                                                seed=1, at=5.0, spread=1.0)

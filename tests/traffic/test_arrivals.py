@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic import DiurnalArrivals, PoissonArrivals
+from repro.traffic import PoissonArrivals
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -20,24 +20,12 @@ def test_poisson_stream_is_pure_function_of_seed(seed, rate):
 
 
 @settings(max_examples=25, deadline=None)
-@given(SEEDS, st.floats(min_value=0.5, max_value=100.0),
-       st.floats(min_value=0.0, max_value=0.95))
-def test_diurnal_stream_is_pure_function_of_seed(seed, rate, amplitude):
-    process = DiurnalArrivals(rate, amplitude=amplitude, period=20.0)
-    a = process.times(np.random.default_rng(seed), 20.0)
-    b = process.times(np.random.default_rng(seed), 20.0)
-    assert a.tobytes() == b.tobytes()
-
-
-@settings(max_examples=25, deadline=None)
 @given(SEEDS)
 def test_streams_are_sorted_and_inside_horizon(seed):
-    for process in (PoissonArrivals(50.0),
-                    DiurnalArrivals(50.0, amplitude=0.8, period=4.0)):
-        times = process.times(np.random.default_rng(seed), 4.0)
-        assert np.all(np.diff(times) >= 0)
-        if times.size:
-            assert 0.0 <= times[0] and times[-1] < 4.0
+    times = PoissonArrivals(50.0).times(np.random.default_rng(seed), 4.0)
+    assert np.all(np.diff(times) >= 0)
+    if times.size:
+        assert 0.0 <= times[0] and times[-1] < 4.0
 
 
 def test_poisson_empirical_rate_matches():
@@ -45,29 +33,8 @@ def test_poisson_empirical_rate_matches():
     assert times.size == pytest.approx(100.0 * 50.0, rel=0.1)
 
 
-def test_diurnal_mean_arrivals_closed_form_matches_sampling():
-    process = DiurnalArrivals(80.0, amplitude=0.6, period=10.0)
-    n = np.mean([process.times(np.random.default_rng(s), 25.0).size
-                 for s in range(30)])
-    assert n == pytest.approx(process.mean_arrivals(25.0), rel=0.05)
-
-
-def test_diurnal_rate_oscillates_around_mean():
-    process = DiurnalArrivals(100.0, amplitude=0.5, period=86_400.0)
-    assert process.rate_at(86_400.0 / 4) == pytest.approx(150.0)
-    assert process.rate_at(3 * 86_400.0 / 4) == pytest.approx(50.0)
-    # Zero amplitude degenerates to the homogeneous process.
-    flat = DiurnalArrivals(100.0, amplitude=0.0)
-    assert flat.rate_at(12_345.0) == pytest.approx(100.0)
-    assert flat.mean_arrivals(60.0) == pytest.approx(6000.0)
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         PoissonArrivals(0.0)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(10.0, amplitude=1.0)
-    with pytest.raises(ValueError):
-        DiurnalArrivals(10.0, period=0.0)
     with pytest.raises(ValueError):
         PoissonArrivals(5.0).times(np.random.default_rng(0), 0.0)

@@ -1,17 +1,13 @@
 """Traffic schedules: determinism, stable merge, SeedSequence discipline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic import (
-    DEFAULT_TENANTS,
-    TenantSpec,
-    arrival_process,
-    build_schedule,
-)
-from repro.traffic.arrivals import DiurnalArrivals, PoissonArrivals
+from repro.traffic import DEFAULT_TENANTS, TenantSpec, build_schedule
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -70,24 +66,19 @@ def test_tenant_shares_steer_per_tenant_volume():
             400.0 * 10.0 * spec.share, rel=0.15)
 
 
-def test_diurnal_kind_uses_thinned_process():
-    s = build_schedule(DEFAULT_TENANTS, rate=200.0, duration=8.0,
-                       n_objects=60, seed=5, kind="diurnal")
-    # The thinned stream still drains fewer arrivals than the peak
-    # envelope would, and remains deterministic.
-    assert s.n_requests == pytest.approx(200.0 * 8.0, rel=0.2)
-    again = build_schedule(DEFAULT_TENANTS, rate=200.0, duration=8.0,
-                           n_objects=60, seed=5, kind="diurnal")
-    assert schedule_bytes(s) == schedule_bytes(again)
-
-
-def test_arrival_process_factory():
-    assert isinstance(arrival_process("poisson", 5.0), PoissonArrivals)
-    diurnal = arrival_process("diurnal", 5.0, duration=60.0)
-    assert isinstance(diurnal, DiurnalArrivals)
-    assert diurnal.period == 60.0  # defaults to the horizon
-    with pytest.raises(ValueError):
-        arrival_process("bursty", 5.0)
+def test_schedule_draws_are_pinned():
+    """The exact arrays one small build draws: any change to the order or
+    kind of a tenant's draws moves these digests."""
+    s = build_schedule(DEFAULT_TENANTS, rate=40.0, duration=5.0,
+                       n_objects=60, seed=5)
+    digests = [hashlib.sha256(a.tobytes()).hexdigest()
+               for a in (s.times, s.tenant_ids, s.object_ids)]
+    assert s.n_requests == 199
+    assert digests == [
+        "6369d35453ed43fdada0844ac7eb911435d4aa44585be364c2d90129ae0d8dc2",
+        "5070c58e546de3912452cc8e944b09eb692c8bfd564ca6f2de6a28ef2a3f3d1e",
+        "5f00039b1332343ef896babe63b09db31310aba2de2d328b523ce1e3c547756f",
+    ]
 
 
 def test_build_schedule_validation():
