@@ -28,10 +28,20 @@ pass touched, so a regression in the gate points at a subsystem, not at
   W2's foreground shape.  The macro ``scenario.tradeoff`` is W1, whose
   HDD warm-ups are ~3k events, so it cannot see the kernel slow down or
   a fall back to the DES.
+* ``profiles.cold_build`` — a fresh ``ProfileCache(ClayCode(10, 4))``
+  asked for all 14 roles at 40 chunk sizes: one repair plan per role.
+  Planning per (role, size) again costs 15–20x this spec's time.
+* ``obs.wait_replay`` — the warm-up kernel spec's 31k queue waits
+  replayed 32 times with ``Histogram.observe_many`` into a histogram
+  whose reservoir is already full, as the restores of a run's busy
+  measurements replay them.  One ``observe`` per wait costs ~20x.
+  Neither this nor the spec above moves the W1 macro
+  ``scenario.tradeoff`` enough to clear the gate.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import cache
 
 import numpy as np
@@ -39,9 +49,12 @@ import numpy as np
 from repro.bench.harness import BenchSpec
 from repro.cluster import foreground
 from repro.cluster.disk import SSD
+from repro.cluster.profiles import ProfileCache
+from repro.codes.clay import ClayCode
 from repro.codes.rs import RSCode
 from repro.gf.matrix import cauchy_matrix, mat_inv, mat_mul, vandermonde
 from repro.gf.solve import GFLinearSystem
+from repro.obs.metrics import Histogram
 from repro.sim.engine import Environment
 from repro.sim.resources import Resource
 
@@ -211,16 +224,51 @@ def _striped_ingest() -> int:
 
 
 # ----------------------------------------------------------------------
-# foreground (busy warm-up kernel)
+# repair profiles
 # ----------------------------------------------------------------------
-#: Engine events the spec's warm-up covers.
+_PROFILE_SIZES = tuple(int(4096 * 1.3 ** i) for i in range(40))
+_N_PROFILES = 14 * len(_PROFILE_SIZES)
+
+
+def _profiles_cold_build() -> int:
+    cache = ProfileCache(ClayCode(10, 4))
+    return sum(cache.get(role, size).total_read_bytes
+               for role in range(14) for size in _PROFILE_SIZES)
+
+
+# ----------------------------------------------------------------------
+# foreground (busy warm-up kernel) and the replay of its waits
+# ----------------------------------------------------------------------
+#: Engine events the spec's warm-up covers, and the queue waits it makes.
 _WARMUP_EVENTS = 155_758
+_WARMUP_WAITS = 31_145
+
+
+def _warmup_state() -> foreground._WarmState:
+    return foreground._simulate(np.random.default_rng(0), (SSD,) * 16,
+                                0.5, 72 * 1024, 1, 0.5)
 
 
 def _warmup_kernel() -> int:
-    state = foreground._simulate(np.random.default_rng(0), (SSD,) * 16,
-                                 0.5, 72 * 1024, 1, 0.5)
-    return state.seq
+    return _warmup_state().seq
+
+
+@cache
+def _warmup_waits() -> array:
+    return _warmup_state().waits
+
+
+#: Replays per spec run, each into the histogram the last one left.
+_REPLAYS = 32
+
+
+def _wait_replay() -> int:
+    waits = _warmup_waits()
+    hist = Histogram("disk.queue_wait")
+    hist.observe_many(waits[:4096])  # a full reservoir
+    for _ in range(_REPLAYS):
+        hist.observe_many(waits)
+    return hist.count
 
 
 def specs() -> list[BenchSpec]:
@@ -242,4 +290,8 @@ def specs() -> list[BenchSpec]:
                   units=_N_STRIPED, repeats=5),
         BenchSpec("foreground.warmup_kernel", "micro", _warmup_kernel,
                   units=_WARMUP_EVENTS),
+        BenchSpec("profiles.cold_build", "micro", _profiles_cold_build,
+                  units=_N_PROFILES),
+        BenchSpec("obs.wait_replay", "micro", _wait_replay,
+                  units=_REPLAYS * _WARMUP_WAITS, repeats=5),
     ]

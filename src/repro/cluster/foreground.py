@@ -16,12 +16,18 @@ metrics, nothing scheme-dependent.  :func:`warm_up` therefore simulates
 each distinct warm-up at most once per process:
 
 * **Kernel.** :func:`_simulate` steps the readers and their reads as data,
-  in the engine's ``(when, seq)`` order.  It numbers events as the engine
-  would, makes the same ``rng`` draws and float operations, and returns
-  the end state as :class:`_WarmState`: the clock, event and resume
-  counts, the ``rng`` state, each reader's next arrival, each read still
-  queued or in service, each disk's counters, queue accounting and gauge
-  fields, and every queue wait in grant order.
+  in the engine's ``(when, seq)`` order.  Its heap holds only the two
+  events that move time, a reader's arrival and a read's service end;
+  each runs the start and grant events the engine would run at its
+  instant inline, numbering them as the engine would.  Where that order
+  could differ from the engine's (two events at one instant, a zero draw
+  or service time) it returns ``None`` and the DES runs the warm-up.  It
+  makes the same ``rng`` draws and float operations, and returns the end
+  state as :class:`_WarmState`: the clock, event and resume counts, the
+  ``rng`` state, each reader's next arrival, each read still queued or in
+  service, each disk's counters, queue accounting and gauge fields (the
+  in-use gauge's read off the usage accounting), and every queue wait in
+  grant order.
 * **Memo.** End states are kept per process, keyed on everything they
   depend on (disk models, utilization, mean read size and I/Os, the
   ``rng`` state, i.e. the seed, and the warm-up length).  A few entries at
@@ -30,9 +36,11 @@ each distinct warm-up at most once per process:
   measurement's fresh environment.  Readers and in-flight reads run the
   same generators as in the DES (:func:`_generator`, :meth:`Disk.read`),
   adopted at their original queue positions
-  (:meth:`~repro.sim.Environment._adopt`).  The waits replay through the
-  shared ``disk.queue_wait{lane=0}`` histogram's own ``observe``: its
-  total and reservoir depend on what earlier measurements left in it.
+  (:meth:`~repro.sim.Environment._adopt`).  The waits replay into the
+  shared ``disk.queue_wait{lane=0}`` histogram in one
+  :meth:`~repro.obs.metrics.Histogram.observe_many` call, exactly as one
+  ``observe`` per wait would: its total and reservoir depend on what
+  earlier measurements left in it.
   The environment's native counters then count the kernel's events as if
   they had run there, so ``engine.events_scheduled`` does not move and
   ``sim.events_per_s`` counts the events the kernel covers.
@@ -210,38 +218,42 @@ def _end_state(rng: np.random.Generator, models: tuple, utilization: float,
     return state
 
 
-# Kernel event kinds: what the engine would resume when the entry pops.
-_ARRIVAL, _START, _GRANT, _DONE, _READER_START, _DRIVER_START, _CUT = \
-    range(7)
-
-
 def _simulate(rng: np.random.Generator, models: tuple, utilization: float,
               mean_bytes: int, mean_ios: int,
               warmup: float) -> _WarmState | None:
-    """Run the warm-up as data; ``None`` if its end state is one
-    :func:`_restore` does not rebuild.
+    """Run the warm-up as data; ``None`` where the data path would not
+    repeat the engine's order (the DES then runs the warm-up).
 
-    The event loop is the engine's: a heap of future entries and a FIFO of
-    entries at the current time, both ``(when, seq, kind, disk, read)``,
-    popped by ``(when, seq)``.  Each kind does what the process it stands
-    for would do when resumed (:func:`_generator`, :meth:`Disk.read` on a
-    :class:`~repro.sim.PriorityResource` of capacity one, the
-    measurement's driver), and every event the engine would schedule takes
-    a ``seq``.  A read's finish event takes one too but is never queued:
-    nothing waits on it, so its pop does nothing.  A read is the list
-    ``[ios, size, created seq, request time, wait-queue index, grant
-    time]``.
+    Only two events move time: a reader's arrival and the end of a read's
+    service.  The heap holds just those, ``(when, seq, d)`` for disk
+    ``d``'s arrival and ``(when, seq, ~d)`` for its service end, plus the
+    driver's cut ``(warmup, seq, n)``.  Each runs inline what the engine
+    would run at its instant before anything else (:func:`_generator`,
+    :meth:`Disk.read` on a :class:`~repro.sim.PriorityResource` of
+    capacity one) and counts the seqs and resumes the engine would:
+
+    * an arrival starts a read (seq + 1) and draws the next arrival
+      (seq + 2); on an idle disk the read is granted (seq + 3) and its
+      service end takes seq + 4, three resumes in all, else it queues,
+      two resumes;
+    * a service end releases the disk and grants the next waiter (seq + 1)
+      before the finished read's own event takes its seq (+ 2); the
+      waiter's service end takes seq + 3, two resumes.  With no waiter,
+      one seq and one resume.
+
+    That is the engine's order while no other event shares the instant,
+    so two events at one instant, or a zero draw or service time, give
+    ``None``.  The readers' and the driver's starts at t = 0 are counted
+    up front.  A read is ``(ios, size, created seq, request time)``, and
+    a queued one also has its wait-queue index.
     """
     n = len(models)
     random, exponential = rng.random, rng.exponential
     read_time = [model.read_time for model in models]
     interarrival = [_mean_interarrival(model, utilization, mean_bytes,
                                        mean_ios) for model in models]
-    heap: list = []
-    ready: deque = deque()
     push, pop = heapq.heappush, heapq.heappop
-    append, popleft = ready.append, ready.popleft
-    in_use = [0] * n
+    serving: list = [None] * n
     queued = [deque() for _ in range(n)]
     pushes = [0] * n
     integral = [0.0] * n
@@ -249,112 +261,98 @@ def _simulate(rng: np.random.Generator, models: tuple, utilization: float,
     bytes_read = [0] * n
     n_read_ios = [0] * n
     depth = [Gauge("") for _ in range(n)]
-    busy = [Gauge("") for _ in range(n)]
     waits = array("d")
     observe = waits.append
+    # t = 0: the readers' start events (seqs 1..n) and the driver's
+    # (n + 1) pop in turn; each reader draws its first arrival (n + 2 + d),
+    # then the driver sets the cut (2n + 2).
     now = 0.0
-    seq = resumes = 0
-    # t = 0: the readers' start events, then the driver's.
-    for d in range(n):
-        seq += 1
-        append((now, seq, _READER_START, d, None))
-    seq += 1
-    append((now, seq, _DRIVER_START, -1, None))
+    firsts = [now + float(exponential(interarrival[d])) for d in range(n)]
+    seq = 2 * n + 2
+    cut = (now + warmup, seq)
+    heap = [(at, n + 2 + d, d) for d, at in enumerate(firsts)]
+    heap.append((*cut, n))
+    heapq.heapify(heap)
+    resumes = n + 1
     while True:
-        if ready:
-            head = ready[0]
-            if heap and heap[0] < head:
-                head = pop(heap)
-            else:
-                popleft()
-        else:
-            head = pop(heap)
-        when, _seq, kind, d, read = head
-        if kind == _CUT:
+        when, _seq, d = pop(heap)
+        if d == n:
             break
+        if when == now or heap[0][0] == when:
+            # It shares its instant with another event, whose start and
+            # grant events the engine would interleave with its own.
+            return None
         now = when
-        resumes += 1
-        if kind == _ARRIVAL:
+        if d >= 0:
             size = int(mean_bytes * 2 ** (2.0 * random() - 1.0))
             ios = max(1, int(round(mean_ios * size / mean_bytes)))
-            seq += 1
-            append((now, seq, _START, d, [ios, size, seq, now, 0, now]))
-            seq += 1
-            at = now + float(exponential(interarrival[d]))
-            (push(heap, (at, seq, _ARRIVAL, d, None)) if at > now
-             else append((at, seq, _ARRIVAL, d, None)))
-        elif kind == _START:
-            read[3] = now
-            waiting = queued[d]
-            if not in_use[d] and not waiting:
-                # Granted at once.  The usage integral gains 0 * elapsed.
+            push(heap, (now + float(exponential(interarrival[d])), seq + 2,
+                        d))
+            if serving[d] is None:
+                # Granted at once: the usage integral gains 0 * elapsed.
+                serving[d] = (ios, size, seq + 1, now)
                 last[d] = now
-                in_use[d] = 1
-                read[5] = now
-                observe(now - read[3])
+                observe(0.0)
                 depth[d].set(0, now)
-                busy[d].set(1, now)
-                seq += 1
-                append((now, seq, _GRANT, d, read))
+                push(heap, (now + read_time[d](ios, size, None), seq + 4, ~d))
+                seq += 4
+                resumes += 3
             else:
-                read[4] = pushes[d]
+                waiting = queued[d]
+                waiting.append((ios, size, seq + 1, now, pushes[d]))
                 pushes[d] += 1
-                waiting.append(read)
                 depth[d].set(len(waiting), now)
-        elif kind == _GRANT:
-            seq += 1
-            at = now + read_time[d](read[0], read[1], None)
-            (push(heap, (at, seq, _DONE, d, read)) if at > now
-             else append((at, seq, _DONE, d, read)))
-        elif kind == _DONE:
-            # Release (one unit in use), then grant the next waiter.
+                seq += 2
+                resumes += 2
+        else:
+            d = ~d
+            read = serving[d]
             integral[d] += now - last[d]
             last[d] = now
-            in_use[d] = 0
-            busy[d].set(0, now)
+            n_read_ios[d] += read[0]
+            bytes_read[d] += read[1]
             waiting = queued[d]
             if waiting:
-                nxt = waiting.popleft()
-                in_use[d] = 1
-                nxt[5] = now
-                observe(now - nxt[3])
+                read = serving[d] = waiting.popleft()
+                observe(now - read[3])
                 depth[d].set(len(waiting), now)
-                busy[d].set(1, now)
+                push(heap, (now + read_time[d](read[0], read[1], None),
+                            seq + 3, ~d))
+                seq += 3
+                resumes += 2
+            else:
+                serving[d] = None
                 seq += 1
-                append((now, seq, _GRANT, d, nxt))
-            bytes_read[d] += read[1]
-            n_read_ios[d] += read[0]
-            seq += 1  # the read's finish event
-        elif kind == _READER_START:
-            seq += 1
-            at = now + float(exponential(interarrival[d]))
-            (push(heap, (at, seq, _ARRIVAL, d, None)) if at > now
-             else append((at, seq, _ARRIVAL, d, None)))
-        else:  # _DRIVER_START
-            seq += 1
-            at = now + warmup
-            (push(heap, (at, seq, _CUT, -1, None)) if at > now
-             else append((at, seq, _CUT, -1, None)))
+                resumes += 1
     arrivals: list = [None] * n
-    reads = [(d, read[0], read[1], read[3], read[4], None, None, read[2])
-             for d in range(n) for read in queued[d]]
-    for entry_when, entry_seq, kind, d, read in list(heap) + list(ready):
-        if kind == _ARRIVAL:
+    reads = [(d, ios, size, at, index, None, None, created)
+             for d in range(n)
+             for ios, size, created, at, index in queued[d]]
+    for entry_when, entry_seq, d in heap:
+        if d >= 0:
             arrivals[d] = (entry_when, entry_seq)
-        elif kind == _DONE:
-            reads.append((d, read[0], read[1], read[3], None, read[5],
-                          (entry_when, entry_seq), read[2]))
         else:
-            return None  # a read just started or granted, at t = warmup
+            ios, size, created, at = serving[~d][:4]
+            reads.append((~d, ios, size, at, None, last[~d],
+                          (entry_when, entry_seq), created))
     reads.sort(key=lambda read: read[-1])
-    return _WarmState(
-        now, seq, resumes, rng.bit_generator.state, head[:2],
-        tuple(arrivals), tuple(read[:-1] for read in reads),
-        tuple((bytes_read[d], n_read_ios[d], in_use[d], integral[d],
-               last[d], pushes[d], _gauge_fields(depth[d]),
-               _gauge_fields(busy[d]))
-              for d in range(n)),
-        waits)
+    disks = []
+    for d in range(n):
+        busy = int(serving[d] is not None)
+        if arrivals[d][1] == n + 2 + d:
+            # Its first arrival is still pending: never granted.
+            in_use = _gauge_fields(Gauge(""))
+        else:
+            # The gauge steps to 1 at each grant and to 0 at each release,
+            # where the usage integral gains the same terms; the disk
+            # starts idle, so its first grant is its first arrival's.
+            in_use = (busy, 0 if n_read_ios[d] else 1, 1, integral[d],
+                      firsts[d], last[d])
+        disks.append((bytes_read[d], n_read_ios[d], busy, integral[d],
+                      last[d], pushes[d], _gauge_fields(depth[d]), in_use))
+    return _WarmState(now, seq, resumes, rng.bit_generator.state, cut,
+                      tuple(arrivals), tuple(read[:-1] for read in reads),
+                      tuple(disks), waits)
 
 
 def _gauge_fields(g: Gauge) -> tuple:
@@ -408,9 +406,8 @@ def _restore(state: _WarmState, env: Environment, disks: list[Disk],
     env.now, env._seq, env._resumes = state.now, state.seq, state.resumes
     rng.bit_generator.state = state.rng_state
     if obs is not None and state.waits:
-        # Through observe itself: the running total and the reservoir
-        # slots depend on what the shared histogram already holds.
-        deque(map(obs.metrics.histogram("disk.queue_wait",
-                                        lane=FOREGROUND).observe,
-                  state.waits), maxlen=0)
+        # Replayed, not copied: the running total and the reservoir slots
+        # depend on what the shared histogram already holds.
+        obs.metrics.histogram("disk.queue_wait",
+                              lane=FOREGROUND).observe_many(state.waits)
     return main

@@ -3,10 +3,14 @@
 A :class:`RepairProfile` condenses an erasure code's byte-exact
 :class:`~repro.codes.base.RepairPlan` into what the disk and network models
 need: per-helper (discontinuous I/O count, bytes) pairs plus the codec
-output size.  Profiles are cached per ``(code, failed_role, chunk_size)``
-and can be scaled for the 4 MB batching the paper applies to striped
-recovery (where batching coalesces *requests* but, for regenerating codes,
-"the scattered disk read pattern remains unchanged").
+output size.  A :class:`ProfileCache` plans each failed role once, at
+chunk size ``alpha``, and derives every chunk size from that plan: every
+code in :mod:`repro.codes` reads whole sub-chunks (Clay and
+locally-regenerating runs, Hitchhiker halves, RS/LRC whole chunks), so a
+chunk of ``m * alpha`` bytes reads the same runs, each ``m`` times as
+long.  Profiles can also be scaled for the 4 MB batching the paper applies
+to striped recovery (where batching coalesces *requests* but, for
+regenerating codes, "the scattered disk read pattern remains unchanged").
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ class ProfileCache:
         # The kind of every profile made here: scalar codes (RS, LRC)
         # rebuild whole chunks, vector codes regenerate from sub-chunks.
         self.decode = code.alpha == 1
+        self._units: dict[int, tuple[HelperRead, ...]] = {}
         self._cache: dict[tuple[int, int], RepairProfile] = {}
 
     def _rounded_chunk(self, chunk_size: int) -> int:
@@ -84,26 +89,39 @@ class ProfileCache:
         alpha = self.code.alpha
         return max(alpha, -(-chunk_size // alpha) * alpha)
 
-    def get(self, failed_role: int, chunk_size: int,
-            inv=None) -> RepairProfile:
-        """Profile for (failed role, chunk size), building it on first use;
-        byte-conservation-checked by ``inv``, an
-        :class:`~repro.analysis.InvariantChecker` (or ``None``)."""
-        rounded = self._rounded_chunk(chunk_size)
-        key = (failed_role, rounded)
-        if key not in self._cache:
-            plan = self.code.repair_plan(failed_role, rounded).coalesced()
+    def _unit(self, failed_role: int) -> tuple[HelperRead, ...]:
+        """The helper reads of repairing ``failed_role`` at chunk size
+        ``alpha``, planned on first use."""
+        unit = self._units.get(failed_role)
+        if unit is None:
+            plan = self.code.repair_plan(failed_role,
+                                         self.code.alpha).coalesced()
             ios = plan.io_count_per_node()
             per_node = plan.read_bytes_per_node()
             spans = {}
             for node in per_node:
                 segs = plan.segments_for_node(node)
                 spans[node] = segs[-1].end - segs[0].offset
-            helpers = tuple(HelperRead(node, ios[node], per_node[node], spans[node])
-                            for node in sorted(per_node))
-            self._cache[key] = RepairProfile(failed_role, rounded, helpers,
-                                             rounded, self.decode)
-        profile = self._cache[key]
+            unit = self._units[failed_role] = tuple(
+                HelperRead(node, ios[node], per_node[node], spans[node])
+                for node in sorted(per_node))
+        return unit
+
+    def get(self, failed_role: int, chunk_size: int,
+            inv=None) -> RepairProfile:
+        """Profile for (failed role, chunk size), built on first use from
+        the role's ``alpha``-sized plan; byte-conservation-checked by
+        ``inv``, an :class:`~repro.analysis.InvariantChecker` (or ``None``)."""
+        rounded = self._rounded_chunk(chunk_size)
+        key = (failed_role, rounded)
+        profile = self._cache.get(key)
+        if profile is None:
+            m = rounded // self.code.alpha
+            helpers = tuple(HelperRead(h.role, h.n_ios, h.nbytes * m,
+                                       h.span * m)
+                            for h in self._unit(failed_role))
+            profile = self._cache[key] = RepairProfile(
+                failed_role, rounded, helpers, rounded, self.decode)
         if inv is not None:
             inv.check_repair_profile(self.code, profile)
         return profile

@@ -21,8 +21,30 @@ instances (one per measurement).
 from __future__ import annotations
 
 import math
+from functools import cache
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
+#: The reservoir's LCG: ``state -> state * _LCG_MUL + _LCG_INC (mod 2**64)``.
+_LCG_MUL = 6364136223846793005
+_LCG_INC = 1442695040888963407
+#: Values :meth:`Histogram.observe_many` handles per numpy pass.
+_BLOCK = 4096
+
+
+@cache
+def _lcg_steps() -> tuple[np.ndarray, np.ndarray]:
+    """``(a, c)`` with ``state_j = a[j-1] * state_0 + c[j-1]`` (wrapping
+    uint64) for the LCG's ``j``-th step, ``j = 1.._BLOCK``."""
+    a, c = [], []
+    mul, inc = 1, 0
+    for _ in range(_BLOCK):
+        mul = mul * _LCG_MUL & _MASK64
+        inc = (inc * _LCG_MUL + _LCG_INC) & _MASK64
+        a.append(mul)
+        c.append(inc)
+    return np.array(a, dtype=np.uint64), np.array(c, dtype=np.uint64)
 
 
 class Counter:
@@ -124,11 +146,52 @@ class Histogram:
             self._reservoir.append(value)
             return
         # Algorithm R with a deterministic 64-bit LCG.
-        self._state = (self._state * 6364136223846793005
-                       + 1442695040888963407) & _MASK64
+        self._state = (self._state * _LCG_MUL + _LCG_INC) & _MASK64
         slot = self._state % self.count
         if slot < self._capacity:
             self._reservoir[slot] = value
+
+    def observe_many(self, values) -> None:
+        """Record finite float ``values`` in order, leaving the histogram
+        exactly as ``observe`` called on each in turn would: the total is
+        a left-to-right accumulate (the loop's rounding, which pairwise
+        ``np.sum`` lacks), and Algorithm R's LCG states come in closed
+        form.  Works in blocks of ``_BLOCK`` values, so memory stays flat
+        however many values there are."""
+        for start in range(0, len(values), _BLOCK):
+            self._observe_block(
+                np.asarray(values[start:start + _BLOCK], dtype=np.float64))
+
+    def _observe_block(self, block: np.ndarray) -> None:
+        sums = np.empty(len(block) + 1)
+        sums[0] = self.total
+        sums[1:] = block
+        self.total = float(np.cumsum(sums)[-1])
+        # The loop keeps the first value strictly below (above) the
+        # running extreme: the first occurrence, as argmin (argmax) finds.
+        low, high = block[np.argmin(block)], block[np.argmax(block)]
+        if low < self.min:
+            self.min = float(low)
+        if high > self.max:
+            self.max = float(high)
+        reservoir = self._reservoir
+        fill = block[:self._capacity - len(reservoir)]
+        reservoir.extend(fill.tolist())
+        self.count += len(fill)
+        block = block[len(fill):]
+        n = len(block)
+        if not n:
+            return
+        # Algorithm R: each value's LCG state from the current one.
+        mul, inc = _lcg_steps()
+        states = mul[:n] * np.uint64(self._state) + inc[:n]
+        slots = states % np.arange(self.count + 1, self.count + n + 1,
+                                   dtype=np.uint64)
+        hits = np.flatnonzero(slots < self._capacity)
+        for slot, value in zip(slots[hits].tolist(), block[hits].tolist()):
+            reservoir[slot] = value
+        self._state = int(states[-1])
+        self.count += n
 
     @property
     def mean(self) -> float:

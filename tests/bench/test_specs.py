@@ -30,6 +30,19 @@ def test_micro_warmup_kernel_covers_its_events():
     assert micro._warmup_kernel() == micro._WARMUP_EVENTS
 
 
+def test_micro_wait_replay_replays_every_wait():
+    assert len(micro._warmup_waits()) == micro._WARMUP_WAITS
+    assert micro._wait_replay() == \
+        4096 + micro._REPLAYS * micro._WARMUP_WAITS
+
+
+def test_micro_profiles_cold_build_covers_every_role_and_size():
+    assert micro._N_PROFILES == 560
+    # Clay(10,4) reads 13/4 chunks per repaired chunk.
+    chunks = sum(-(-size // 256) * 256 for size in micro._PROFILE_SIZES)
+    assert micro._profiles_cold_build() == 14 * chunks * 13 // 4
+
+
 def test_micro_contention_reports_utilization():
     util = micro._contention()
     assert 0.0 < util <= 1.0

@@ -1,9 +1,12 @@
 """Repair-profile tests: the codes → simulator bridge."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterConfig, ProfileCache, RCStor
-from repro.codes import ClayCode, HitchhikerCode, LRCCode, RSCode
+from repro.cluster.profiles import HelperRead, RepairProfile
+from repro.codes import (
+    ClayCode, HitchhikerCode, LocalRegeneratingCode, LRCCode, RSCode)
 from repro.core import GeometricLayout
 
 MB = 1 << 20
@@ -118,3 +121,45 @@ def test_scaled_decode_profile_reads_each_helper_in_one_io(code):
         assert h.n_ios == 1
         assert h.nbytes == h.span == 16 * one.nbytes
     assert p.scaled(1) is p
+
+
+# ----------------------------------------------------------------------
+# Scaling oracle: a profile derived from the role's alpha-sized plan
+# equals the one folded from the plan at the profile's own chunk size
+# ----------------------------------------------------------------------
+def _profile_from_plan(cache, failed_role, chunk_size):
+    """The profile folded directly from ``repair_plan(role, rounded)``:
+    the per-size path :meth:`ProfileCache.get` replaced."""
+    rounded = cache._rounded_chunk(chunk_size)
+    plan = cache.code.repair_plan(failed_role, rounded).coalesced()
+    ios = plan.io_count_per_node()
+    per_node = plan.read_bytes_per_node()
+    spans = {}
+    for node in per_node:
+        segs = plan.segments_for_node(node)
+        spans[node] = segs[-1].end - segs[0].offset
+    helpers = tuple(HelperRead(node, ios[node], per_node[node], spans[node])
+                    for node in sorted(per_node))
+    return RepairProfile(failed_role, rounded, helpers, rounded, cache.decode)
+
+
+SCALING_CODES = [RSCode(10, 4), LRCCode(10, 2, 2), ClayCode(10, 4),
+                 ClayCode(4, 2), HitchhikerCode(10, 4),
+                 LocalRegeneratingCode(10, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("code", SCALING_CODES, ids=lambda c: c.name)
+def test_profile_scaling_equals_the_per_size_plan(code):
+    """Exact only while every code plans whole sub-chunks: a code that
+    plans part of a sub-chunk fails here instead of mis-timing repairs."""
+    alpha = code.alpha
+    rng = np.random.default_rng(code.n * 1000 + alpha)
+    sizes = {1, alpha - 1, alpha, 7 * alpha + 1, 4096, 128 * 1024, 4 * MB,
+             256 * MB}
+    sizes.update(int(s) for s in rng.integers(1, 64 * MB, size=6))
+    sizes = sorted(s for s in sizes if s >= 1)
+    cache = ProfileCache(code)
+    for role in range(code.n):
+        for size in sizes:
+            assert cache.get(role, size) == \
+                _profile_from_plan(cache, role, size), (role, size)

@@ -13,6 +13,7 @@ import pickle
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -380,6 +381,35 @@ def test_a_read_started_at_the_cut_falls_back_to_the_des():
     state the restore does not rebuild."""
     assert foreground._simulate(_ZeroDelays(), (SSD,), 0.5, 65536, 1,
                                 0.0) is None
+
+
+class _Delays(_ZeroDelays):
+    """Inter-arrival draws from a list, its last one repeated."""
+
+    bit_generator = SimpleNamespace(state={})
+
+    def __init__(self, *delays):
+        self.delays = list(delays)
+
+    def exponential(self, scale):
+        return self.delays.pop(0) if len(self.delays) > 1 else self.delays[0]
+
+
+def test_coinciding_first_arrivals_fall_back_to_the_des():
+    """Two disks' first arrivals share an instant, so the engine
+    interleaves the start and grant events of their reads, which the
+    kernel runs inline, one arrival at a time."""
+    assert foreground._simulate(_Delays(1e-3), (SSD, SSD), 0.5, 65536, 1,
+                                0.01) is None
+
+
+def test_a_zero_interarrival_mid_run_falls_back_to_the_des():
+    """The third arrival is drawn at the second one's instant."""
+    assert foreground._simulate(_Delays(1e-3, 2e-3, 0.0, 1e-3), (SSD,), 0.5,
+                                65536, 1, 0.01) is None
+    # The same draws without the zero are simulated.
+    assert foreground._simulate(_Delays(1e-3, 2e-3, 1e-3), (SSD,), 0.5,
+                                65536, 1, 0.01) is not None
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Tests for the metrics registry: counters, gauges, histograms."""
 
-import pytest
+from array import array
+from functools import partial
 
-from repro.obs import MetricsRegistry, format_metric_name
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import MetricsRegistry, format_metric_name, metrics
 from repro.obs.metrics import Counter, Gauge, Histogram
 
 
@@ -143,3 +149,56 @@ def test_summary_renders_all_kinds():
 
 def test_summary_empty_registry():
     assert "no metrics" in MetricsRegistry().summary()
+
+
+# ----------------------------------------------------------------------
+# Replay oracle: observe_many equals observing each value in turn
+# ----------------------------------------------------------------------
+def hist_fields(h: Histogram) -> tuple:
+    """Every field, floats by ``repr`` so that -0.0 differs from 0.0."""
+    return (h.count, repr(h.total), repr(h.min), repr(h.max),
+            [repr(value) for value in h._reservoir], h._state)
+
+
+@st.composite
+def seeded_values(draw, sizes):
+    """Exponential values with a share of exact zeros, drawn from a seed:
+    runs longer than a block, which a list strategy reaches too slowly."""
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.exponential(size=n)
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return values.tolist()
+
+
+BLOCK = metrics._BLOCK
+REPLAYED = st.one_of(
+    st.lists(st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+             max_size=40),
+    st.lists(st.sampled_from([0.0, -0.0, 2.5]), max_size=40),
+    seeded_values(st.one_of(
+        st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+        st.integers(0, 3 * BLOCK))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.sampled_from([1, 7, 4096]),
+       fill=st.sampled_from(["empty", "partial", "full"]),
+       extra=st.integers(0, 50),
+       prime_seed=st.integers(0, 2**32 - 1),
+       values=REPLAYED,
+       container=st.sampled_from([list, partial(array, "d"), np.array]))
+def test_observe_many_equals_observing_each_value(capacity, fill, extra,
+                                                  prime_seed, values,
+                                                  container):
+    primed = {"empty": 0, "partial": min(extra, capacity - 1),
+              "full": capacity + extra}[fill]
+    prime = np.random.default_rng(prime_seed).exponential(size=primed)
+    loop, many = Histogram("loop", capacity), Histogram("many", capacity)
+    for hist in (loop, many):
+        for value in prime.tolist():
+            hist.observe(value)
+    for value in values:
+        loop.observe(value)
+    many.observe_many(container(values))
+    assert hist_fields(many) == hist_fields(loop)
