@@ -4,7 +4,8 @@ Four invariant families, all opt-in (``--check-invariants`` on the
 experiment CLI, or :func:`attach_invariant_checker` in code):
 
 * **Monotonic sim clock** — every event the engine schedules must land at
-  or after ``env.now``.  Wired through ``EngineHooks.on_schedule``.
+  or after ``env.now``.  Wired through the observer's ``on_schedule``
+  engine hook.
 * **Resource grant conservation** — every :class:`~repro.sim.Resource`
   created under the observer registers itself; at the end of each
   measurement (``_Runtime.finalize``) no grant may still be held and no
@@ -196,10 +197,10 @@ def attach_invariant_checker(obs) -> InvariantChecker:
     """Create an :class:`InvariantChecker` and hook it into an observer.
 
     Instrumented code reaches the checker via ``obs.invariants`` (resources
-    register at construction, runtimes audit at finalize) and engine
-    scheduling via ``obs.engine_hooks.invariants``.
+    register at construction, runtimes audit at finalize), and the engine
+    passes it every scheduled event through the observer's
+    ``on_schedule`` hook.
     """
     checker = InvariantChecker()
     obs.invariants = checker
-    obs.engine_hooks.invariants = checker
     return checker

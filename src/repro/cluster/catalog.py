@@ -24,10 +24,6 @@ from repro.core.layouts import (
     StripeLayout,
 )
 
-#: Approximate per-object index record size (§5.1 Metadata Management).
-METADATA_BYTES_PER_OBJECT = 40
-
-
 @dataclass(frozen=True)
 class StoredObject:
     """Directory record of one ingested object."""
@@ -254,8 +250,3 @@ class Catalog:
                 total += size * count
                 n += count
         return total / n if n else 0.0
-
-    @property
-    def metadata_bytes(self) -> int:
-        """Directory metadata footprint (~40 B per object)."""
-        return METADATA_BYTES_PER_OBJECT * len(self.objects)

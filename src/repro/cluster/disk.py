@@ -79,10 +79,6 @@ class DiskModel:
             raise ValueError("negative I/O")
         return n_ios * self.seek_time + nbytes / self.write_bandwidth
 
-    def effective_read_bandwidth(self, io_size: int) -> float:
-        """Bytes/s of a stream of ``io_size`` discontinuous reads."""
-        return io_size / self.read_time(1, io_size)
-
 
 #: Calibrated 7200 rpm SAS HDD (see module docstring).
 HDD = DiskModel("hdd", seek_time=0.9e-3, read_bandwidth=190 * MB,

@@ -81,10 +81,10 @@ def check_load(utilization: float, mean_read_bytes: int,
         raise ValueError("warmup must be >= 0")
 
 
-def _mean_ios(mean_read_bytes: int, mean_ios_per_read: int | None) -> int:
-    if mean_ios_per_read is None:
-        return max(1, mean_read_bytes // (16 * MB) + 1)
-    return mean_ios_per_read
+def _mean_ios(mean_read_bytes: int) -> int:
+    """I/Os of a mean-sized foreground read: one, plus one per whole
+    16 MiB."""
+    return max(1, mean_read_bytes // (16 * MB) + 1)
 
 
 def _mean_interarrival(model, utilization: float, mean_bytes: int,
@@ -99,7 +99,6 @@ def start_foreground_load(env: Environment, disks: list[Disk],
                           rng: np.random.Generator,
                           utilization: float = 0.5,
                           mean_read_bytes: int = 16 * MB,
-                          mean_ios_per_read: int | None = None,
                           invariants=None) -> None:
     """Arm one generator per disk; runs for the lifetime of ``env``.
 
@@ -111,7 +110,7 @@ def start_foreground_load(env: Environment, disks: list[Disk],
     check_load(utilization, mean_read_bytes)
     if invariants is not None:
         invariants.exempt_env(env)
-    mean_ios = _mean_ios(mean_read_bytes, mean_ios_per_read)
+    mean_ios = _mean_ios(mean_read_bytes)
     for disk in disks:
         env.process(_generator(
             env, disk, rng, _mean_interarrival(disk.model, utilization,
@@ -153,7 +152,7 @@ def warm_up(env: Environment, disks: list[Disk], rng: np.random.Generator,
     metrics match (see the module docstring).
     """
     check_load(utilization, mean_read_bytes, warmup)
-    mean_ios = _mean_ios(mean_read_bytes, None)
+    mean_ios = _mean_ios(mean_read_bytes)
     if (env._on_schedule is None and env._on_resume is None
             and env._on_advance is None and not env._seq
             and not env._queue and not env._ready):
@@ -163,7 +162,7 @@ def warm_up(env: Environment, disks: list[Disk], rng: np.random.Generator,
             return _restore(state, env, disks, rng, driver, utilization,
                             mean_read_bytes, mean_ios, obs)
     start_foreground_load(env, disks, rng, utilization, mean_read_bytes,
-                          mean_ios, getattr(obs, "invariants", None))
+                          getattr(obs, "invariants", None))
     return env.process(driver(None))
 
 

@@ -127,8 +127,7 @@ class _Runtime:
         self.obs = obs
         self.label = label
         self.invariants = getattr(obs, "invariants", None)
-        self.env = Environment(
-            trace_hooks=obs.engine_hooks if obs is not None else None)
+        self.env = Environment(trace_hooks=obs)
         self.pid = obs.tracer.process(label) if obs is not None else 0
         # Telemetry is duck-typed off the observer: a timeline (if armed)
         # names this measurement's sample segment after the trace label.
@@ -1056,20 +1055,6 @@ class RCStor:
             cross_rack_bytes=(rt.fabric.agg.bytes_transferred
                               if rt.fabric.agg is not None else 0),
         )
-
-    def run_node_recovery(self, node: int, seed: int = 0,
-                          faults: FaultPlan | None = None) -> RecoveryReport:
-        """Recover every disk of a failed node.
-
-        Placement groups span distinct nodes, so a whole-node failure costs
-        each affected PG exactly one disk — recovery stays on the optimal
-        single-failure plans, just with ``disks_per_node`` times the work.
-        """
-        if not 0 <= node < self.config.n_nodes:
-            raise ValueError(f"node {node} out of range")
-        first = node * self.config.disks_per_node
-        return self._recover(range(first, first + self.config.disks_per_node),
-                             "node-recovery", seed, faults)
 
     def run_multi_failure_recovery(self, failed_disks: list[int],
                                    seed: int = 0,

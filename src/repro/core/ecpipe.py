@@ -47,14 +47,3 @@ def speedup(strip_size: int, k: int, link_bandwidth: float,
     return (star_repair_time(strip_size, k, link_bandwidth)
             / ecpipe_repair_time(strip_size, k, link_bandwidth, packet_size,
                                  per_packet_overhead))
-
-
-def optimal_packet_size(strip_size: int, k: int, link_bandwidth: float,
-                        per_packet_overhead: float) -> int:
-    """Packet size minimising repair time: balances the (k-1)·p/B pipeline
-    fill against per-packet overhead S/p·c — the classic sqrt trade-off."""
-    if per_packet_overhead <= 0:
-        return 1
-    p = math.sqrt(strip_size * per_packet_overhead * link_bandwidth / (k - 1)) \
-        if k > 1 else strip_size
-    return max(1, min(strip_size, int(p)))

@@ -84,11 +84,3 @@ def transfer_time(steps: Iterable[PipelineStep]) -> float:
 
 def repair_time(steps: Iterable[PipelineStep]) -> float:
     return sum(s.repair_time for s in steps)
-
-
-def pipeline_efficiency(steps: Sequence[PipelineStep]) -> float:
-    """Fraction of the non-overlapped time saved by pipelining (0..1)."""
-    plain = unpipelined_read_time(steps)
-    if plain == 0:
-        return 0.0
-    return 1.0 - degraded_read_time(steps) / plain

@@ -359,9 +359,9 @@ def main(argv: list[str] | None = None) -> int:
             doc["profile"] = report.merged_profile()
         write_report(doc, args.report)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump({"traceEvents": report.trace_events(),
-                       "displayTimeUnit": "ms"}, fh)
+        from repro.obs import write_chrome_trace
+
+        write_chrome_trace(report.trace_events(), args.trace)
     if args.bench_out:
         doc = report.bench_doc(jobs=args.jobs,
                                groups=[(name, lo, hi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.partitioning import GeometricPartitioner
+from repro.core.tuning import evaluate_candidate
 from repro.experiments.common import (
     _label,
     format_table,
@@ -35,23 +35,17 @@ class BreakdownRow:
 def compute(setting: str, n_objects: int, seed: int = 0) -> dict:
     """Scenario compute: all s0 variants' breakdown rows (analytic pass)."""
     st = setting_by_name(setting)
-    sizes = sample_workload(st, n_objects, seed)
+    sizes = sample_workload(st, n_objects, seed).tolist()
     rows: list[BreakdownRow] = []
-    total = float(sizes.sum())
     for s0 in st.geo_s0_variants:
-        partitioner = GeometricPartitioner(s0, 2, st.max_chunk_size)
-        front = chunk_bytes = chunks = 0
-        for size in sizes:
-            part = partitioner.partition(int(size))
-            front += part.front
-            chunk_bytes += part.partitioned_bytes
-            chunks += part.n_chunks
-        rows.append(BreakdownRow(f"Geo-{_label(s0)}", front / total,
-                                 chunk_bytes / chunks if chunks else 0.0))
+        point = evaluate_candidate(sizes, s0, 2, st.max_chunk_size)
+        rows.append(BreakdownRow(f"Geo-{_label(s0)}",
+                                 point.small_bucket_share,
+                                 point.average_chunk_size))
     # Stripe-Max: one strip of size/k per disk; no small-size-buckets.
     k = 10
-    strip_chunks = sum(min(k, int(size)) for size in sizes)
-    rows.append(BreakdownRow("Stripe-Max", 0.0, total / strip_chunks))
+    strip_chunks = sum(min(k, size) for size in sizes)
+    rows.append(BreakdownRow("Stripe-Max", 0.0, sum(sizes) / strip_chunks))
     return {"rows": rows_of(rows), "meta": {"setting": setting}}
 
 

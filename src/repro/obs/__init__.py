@@ -8,13 +8,18 @@ The package has three layers:
   timestamps, since DES processes interleave on one OS thread),
 * :mod:`repro.obs.export` — Chrome / Perfetto trace-event JSON output.
 
-An :class:`Observer` bundles one registry and one tracer; instrumented code
-(`repro.sim`, `repro.cluster`) accepts an observer and is a no-op without
-one.  ``python -m repro.experiments <exp> --trace out.json --metrics``
-installs a default observer, reruns any experiment with full visibility,
-and exports the result.
+An :class:`Observer` bundles one registry and one tracer, and is the
+engine's only hook object: an :class:`~repro.sim.Environment` built with
+``trace_hooks=obs`` adds its event and resume counts into the registry.
+Instrumented code (`repro.sim`, `repro.cluster`) accepts an observer and
+is a no-op without one.  ``summarize(snapshot(obs))`` is the metrics
+readout, and :func:`write_chrome_trace` writes trace events to a file.
+``python -m repro.experiments <exp> --trace out.json --metrics`` installs
+a default observer per unit, reruns any experiment with full visibility,
+and exports the result through those two.
 
-Second-generation telemetry rides on the same observer, armed per unit:
+Second-generation telemetry rides on the same observer, armed per unit
+by an ``attach_*`` function that sets one attribute:
 
 * :mod:`repro.obs.timeline` — deterministic sim-time sampling of the
   registry into mergeable time series (``--timeline``),
@@ -27,7 +32,7 @@ Second-generation telemetry rides on the same observer, armed per unit:
   diffs (``--report``, ``python -m repro.obs.report``).
 """
 
-from repro.obs.export import chrome_trace, chrome_trace_events, write_chrome_trace
+from repro.obs.export import chrome_trace_events, write_chrome_trace
 from repro.obs.flightrec import FLIGHTREC_SCHEMA, FlightRecorder, attach_flightrec
 from repro.obs.metrics import (
     Counter,
@@ -36,12 +41,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     format_metric_name,
 )
-from repro.obs.observer import (
-    EngineHooks,
-    Observer,
-    get_default_observer,
-    observed,
-)
+from repro.obs.observer import Observer, get_default_observer, observed
 from repro.obs.profile import (
     PROFILE_SCHEMA,
     Profiler,
@@ -63,7 +63,7 @@ from repro.obs.timeline import (
     attach_timeline,
     merge_timelines,
 )
-from repro.obs.tracer import Span, SpanHandle, Tracer
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "FLIGHTREC_SCHEMA",
@@ -83,7 +83,6 @@ __all__ = [
     "render_report",
     "summarize_profile",
     "write_report",
-    "chrome_trace",
     "chrome_trace_events",
     "write_chrome_trace",
     "Counter",
@@ -91,7 +90,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "format_metric_name",
-    "EngineHooks",
     "Observer",
     "get_default_observer",
     "merge_snapshots",
@@ -100,6 +98,5 @@ __all__ = [
     "snapshot",
     "summarize",
     "Span",
-    "SpanHandle",
     "Tracer",
 ]

@@ -3,8 +3,10 @@
 Converts a :class:`~repro.obs.tracer.Tracer` into the `trace event format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 understood by ``chrome://tracing`` and https://ui.perfetto.dev: complete
-("X") events for spans, counter ("C") events for sampled levels, and
-metadata ("M") events naming each measurement's process and tracks.
+("X") events for spans and metadata ("M") events naming each
+measurement's process and tracks.  Units convert their tracers to events
+(:func:`chrome_trace_events`); :func:`write_chrome_trace` writes any list
+of them, one unit's or a run's merged list, as one trace file.
 
 Sim time is in seconds; trace timestamps are microseconds, so one simulated
 second renders as one second on the Perfetto timeline.
@@ -42,20 +44,10 @@ def chrome_trace_events(tracer: Tracer) -> list[dict[str, Any]]:
         if span.args:
             event["args"] = span.args
         events.append(event)
-    for pid, name, now, value in tracer.counter_samples:
-        events.append({"ph": "C", "name": name, "cat": "sim", "pid": pid,
-                       "tid": 0, "ts": now * _US, "args": {name: value}})
     return events
 
 
-def chrome_trace(tracer: Tracer) -> dict[str, Any]:
-    """The full JSON-object form of the trace."""
-    return {"traceEvents": chrome_trace_events(tracer),
-            "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(tracer: Tracer, path: str) -> int:
-    """Write the trace to ``path``; returns the number of span events."""
+def write_chrome_trace(events: list[dict[str, Any]], path: str) -> None:
+    """Write trace ``events`` to ``path`` as a trace-event JSON object."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(tracer), fh)
-    return len(tracer.spans)
+        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh)

@@ -5,14 +5,14 @@ A failing simulation usually dies *after* the interesting part: the
 invariant fires, the repair ladder abandons, or the compute function
 raises — and the end-of-run snapshot (if it even gets written) shows only
 totals.  The :class:`FlightRecorder` keeps the last-N scheduled engine
-events in a ring buffer (via ``EngineHooks.on_schedule``, same pre-bound
-path as the counters), accumulates *incidents* (explicit "this went
-wrong" records from the repair ladder, the invariant checker's raise, or
-the runner's exception handler) and the latest fault-injection state, and
-on demand serializes a JSON bundle: the event tail, the tail of recorded
-spans, a full metric snapshot, the fault state, and the unit's
-seed/provenance — enough to replay and to see what the engine was doing
-in its final simulated moments.
+events in a ring buffer (via the observer's ``on_schedule`` engine hook,
+bound only while a recorder is attached), accumulates *incidents*
+(explicit "this went wrong" records from the repair ladder, the invariant
+checker's raise, or the runner's exception handler) and the latest
+fault-injection state, and on demand serializes a JSON bundle: the event
+tail, the tail of recorded spans, a full metric snapshot, the fault state,
+and the unit's seed/provenance — enough to replay and to see what the
+engine was doing in its final simulated moments.
 
 The recorder is duck-typed from below (``getattr(obs, "flightrec",
 None)``), so the ``faults`` and ``cluster`` layers feed it without import
@@ -130,5 +130,4 @@ def attach_flightrec(obs, capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:
     """
     recorder = FlightRecorder(capacity)
     obs.flightrec = recorder
-    obs.engine_hooks.flightrec = recorder
     return recorder

@@ -267,42 +267,3 @@ class MetricsRegistry:
     def get(self, name: str, **labels):
         """Look up an existing metric (``None`` when absent)."""
         return self._metrics.get(format_metric_name(name, labels))
-
-    # ------------------------------------------------------------------
-    def summary(self) -> str:
-        """Plain-text report: counters, gauge means, wait percentiles.
-
-        Deterministically sorted by metric key (registry iteration order),
-        so two runs that recorded the same metrics — in any registration
-        order — render byte-identical summaries.
-        """
-        counters = [(k, m) for k, m in self if isinstance(m, Counter)]
-        gauges = [(k, m) for k, m in self if isinstance(m, Gauge)]
-        hists = [(k, m) for k, m in self if isinstance(m, Histogram)]
-        lines: list[str] = []
-        if counters:
-            lines.append("== counters ==")
-            width = max(len(k) for k, _ in counters)
-            for key, c in counters:
-                lines.append(f"{key.ljust(width)}  {c.value:g}")
-        if gauges:
-            if lines:
-                lines.append("")
-            lines.append("== gauges (time-weighted) ==")
-            width = max(len(k) for k, _ in gauges)
-            for key, g in gauges:
-                lines.append(f"{key.ljust(width)}  last={g.value:.4g} "
-                             f"mean={g.mean():.4g} min={g.min:.4g} "
-                             f"max={g.max:.4g}")
-        if hists:
-            if lines:
-                lines.append("")
-            lines.append("== histograms ==")
-            width = max(len(k) for k, _ in hists)
-            for key, h in hists:
-                p50, p95, p99 = h.percentiles()
-                lines.append(
-                    f"{key.ljust(width)}  count={h.count} mean={h.mean:.4g} "
-                    f"p50={p50:.4g} p95={p95:.4g} p99={p99:.4g} "
-                    f"max={(h.max if h.count else 0.0):.4g}")
-        return "\n".join(lines) if lines else "(no metrics recorded)"

@@ -1,4 +1,4 @@
-"""The Observer: one handle bundling metrics, tracing and engine hooks.
+"""The Observer: one handle bundling metrics, tracing and the engine hooks.
 
 Instrumented code takes an ``obs`` argument defaulting to ``None`` — the
 no-observer case costs one ``is not None`` test per operation, which keeps
@@ -25,89 +25,57 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
-class EngineHooks:
-    """Counts engine activity (wired into :class:`~repro.sim.Environment`).
+class Observer:
+    """A metrics registry plus a span tracer, shared across measurements;
+    also the engine's hook object.
 
-    When an :class:`~repro.analysis.InvariantChecker` is attached
-    (``invariants``), every scheduled event is also checked against the
-    monotonic sim-clock invariant.  The second-generation telemetry hooks
-    — ``timeline`` (sim-time sampler), ``profiler`` (wall-clock dispatch
-    profiler) and ``flightrec`` (postmortem ring buffer) — all default to
-    ``None``.  Unless one of ``invariants``, ``profiler`` or ``flightrec``
-    needs to see each event, the engine counts natively and these per-event
-    methods are never bound (:meth:`native_counters`).
+    An :class:`~repro.sim.Environment` built with ``trace_hooks=obs``
+    counts its own activity and adds it into ``events_scheduled`` and
+    ``process_resumes`` (see :mod:`repro.sim.engine`).  The tools —
+    ``invariants`` (installed by
+    :func:`repro.analysis.attach_invariant_checker`), ``timeline``,
+    ``profiler`` and ``flightrec`` (installed by
+    :func:`repro.obs.attach_timeline` / :func:`repro.obs.attach_profiler`
+    / :func:`repro.obs.attach_flightrec`) — are ``None`` when off, and
+    instrumented code reaches them with one attribute load plus an ``is
+    not None`` test.  Only a tool that must see each engine event gets
+    the per-event hooks bound (:meth:`event_hooks`), so attaching one
+    cannot change what the engine counts.
     """
 
-    __slots__ = ("events_scheduled", "process_resumes", "invariants",
-                 "timeline", "profiler", "flightrec")
-
-    def __init__(self, metrics: MetricsRegistry):
-        self.events_scheduled = metrics.counter("engine.events_scheduled")
-        self.process_resumes = metrics.counter("engine.process_resumes")
+    def __init__(self):
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer()
+        # Registered up front, so every snapshot lists them, also for a
+        # unit that builds no environment.
+        self.events_scheduled = self.metrics.counter("engine.events_scheduled")
+        self.process_resumes = self.metrics.counter("engine.process_resumes")
         self.invariants = None
         self.timeline = None
         self.profiler = None
         self.flightrec = None
 
-    def native_counters(self):
-        """``(events_scheduled, process_resumes)`` when counting is all
-        these hooks would do per event, else ``None``.
-
-        With no flight recorder, invariant checker or profiler attached,
-        an :class:`~repro.sim.Environment` built now counts natively and
-        adds its totals into these counters at run end, before each
-        timeline sample and at close, instead of calling
-        :meth:`on_schedule`/:meth:`on_resume` millions of times.
+    def event_hooks(self):
+        """``(on_schedule, on_resume)`` for an environment to bind, each
+        ``None`` unless an attached tool needs every such event: a flight
+        recorder or invariant checker each scheduled event, a profiler
+        each process resume.  Read once, when the environment is built.
         """
-        if (self.flightrec is None and self.invariants is None
-                and self.profiler is None):
-            return self.events_scheduled, self.process_resumes
-        return None
+        schedule = (self.on_schedule if self.flightrec is not None
+                    or self.invariants is not None else None)
+        resume = self.on_resume if self.profiler is not None else None
+        return schedule, resume
 
     def on_schedule(self, when: float, event) -> None:
-        """Called whenever the engine enqueues an event."""
-        # Bump the counter slot directly: this runs once per scheduled
-        # event (millions per experiment), so even the Counter.inc call
-        # is measurable.
-        self.events_scheduled.value += 1
+        """Engine hook: pass one scheduled event to the tools."""
         if self.flightrec is not None:
             self.flightrec.on_schedule(when, event)
         if self.invariants is not None:
             self.invariants.on_schedule(when, event)
 
     def on_resume(self, process, trigger) -> None:
-        """Called whenever a process coroutine is resumed."""
-        self.process_resumes.value += 1
-        if self.profiler is not None:
-            self.profiler.on_resume(process)
-
-
-class Observer:
-    """A metrics registry plus a span tracer, shared across measurements.
-
-    ``invariants`` (optional, installed by
-    :func:`repro.analysis.attach_invariant_checker`) turns on runtime
-    invariant checking in every resource and runtime built under this
-    observer; the default ``None`` keeps observability side-effect free.
-    The telemetry attachments — ``timeline``, ``profiler``, ``flightrec``
-    (installed by :func:`repro.obs.attach_timeline` /
-    :func:`repro.obs.attach_profiler` / :func:`repro.obs.attach_flightrec`)
-    — follow the same pattern: ``None`` means off, and instrumented code
-    reaches them with one attribute load plus an ``is not None`` test.
-    """
-
-    def __init__(self):
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer()
-        self.engine_hooks = EngineHooks(self.metrics)
-        self.invariants = None
-        self.timeline = None
-        self.profiler = None
-        self.flightrec = None
-
-    def summary(self) -> str:
-        """The registry's plain-text metrics report."""
-        return self.metrics.summary()
+        """Engine hook: pass one process resume to the profiler."""
+        self.profiler.on_resume(process)
 
 
 _default_observer: ContextVar[Observer | None] = ContextVar(

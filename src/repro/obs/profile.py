@@ -6,10 +6,10 @@ wall clock — and therefore ships in its own snapshot key (``profile``)
 that is stripped from cached results and absent from default ``--json``
 output, keeping deterministic artifacts deterministic.
 
-The engine already pre-binds its trace hooks (one attribute load per
-scheduled event); the profiler rides the same path: each process
-resumption timestamps ``perf_counter`` and attributes the elapsed interval
-to the *previously* resumed process's code site — the generator function's
+The engine binds the observer's ``on_resume`` hook while a profiler is
+attached (one attribute load per resume); each process resumption
+timestamps ``perf_counter`` and attributes the elapsed interval to the
+*previously* resumed process's code site — the generator function's
 ``(name, file, line)``, read off ``gi_code``.  That interval covers the
 generator's ``send`` plus the engine work it caused (event scheduling,
 callback dispatch), which is exactly the per-process-type cost a flame
@@ -160,9 +160,8 @@ def summarize_profile(doc: dict[str, Any], n_rows: int = 15) -> str:
 
 
 def attach_profiler(obs) -> Profiler:
-    """Create a :class:`Profiler` and hook it into an observer's engine
-    hooks; read out with ``obs.profiler.profile_doc()``."""
+    """Create a :class:`Profiler` and hook it into an observer; read out
+    with ``obs.profiler.profile_doc()``."""
     profiler = Profiler()
     obs.profiler = profiler
-    obs.engine_hooks.profiler = profiler
     return profiler

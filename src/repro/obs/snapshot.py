@@ -148,8 +148,10 @@ def _quantile(ordered: list[float], q: float) -> float:
 
 
 def summarize(merged: dict[str, Any]) -> str:
-    """Plain-text report of a (merged) snapshot, in the same shape as
-    :meth:`~repro.obs.metrics.MetricsRegistry.summary`."""
+    """Plain-text report of a snapshot or merged snapshots: counters,
+    gauge levels and means, histogram percentiles, each section sorted by
+    metric key.  The one metrics readout (``--metrics`` prints it); one
+    observer's is ``summarize(snapshot(obs))``."""
     lines: list[str] = []
     counters = merged.get("counters", {})
     gauges = merged.get("gauges", {})

@@ -265,14 +265,13 @@ class Timeline:
 def attach_timeline(obs, sample_interval: float | None = None) -> Timeline:
     """Create a :class:`Timeline` and hook it into an observer.
 
-    Environments built under ``obs`` afterwards (``trace_hooks =
-    obs.engine_hooks``) sample themselves; instrumented code reaches the
-    sampler via ``obs.timeline``.
+    Environments built under ``obs`` afterwards (``trace_hooks=obs``)
+    sample themselves; instrumented code reaches the sampler via
+    ``obs.timeline``.
     """
     timeline = Timeline(sample_interval)
     timeline._registry = obs.metrics
     obs.timeline = timeline
-    obs.engine_hooks.timeline = timeline
     return timeline
 
 

@@ -8,9 +8,8 @@ process separate logically concurrent activities (the repair chain, the
 client transfer, each recovery server).
 
 The simulation is single-threaded but logically concurrent, so spans carry
-explicit timestamps instead of relying on a thread-local stack: record
-either a finished interval with :meth:`Tracer.complete`, or an open one
-with :meth:`Tracer.begin` / :meth:`SpanHandle.end`.  Nesting is by time
+explicit timestamps instead of relying on a thread-local stack: each is
+recorded finished, with :meth:`Tracer.complete`.  Nesting is by time
 containment on a track, which is exactly how Perfetto renders same-track
 "X" events.
 """
@@ -43,30 +42,8 @@ class Span:
                 f"start={self.start:.6g}, dur={self.duration:.6g})")
 
 
-class SpanHandle:
-    """An open span returned by :meth:`Tracer.begin`."""
-
-    __slots__ = ("_tracer", "name", "pid", "tid", "start", "args")
-
-    def __init__(self, tracer: "Tracer", name: str, pid: int, tid: int,
-                 start: float, args: dict[str, Any]):
-        self._tracer = tracer
-        self.name = name
-        self.pid = pid
-        self.tid = tid
-        self.start = start
-        self.args = args
-
-    def end(self, now: float, **extra_args) -> Span:
-        """Close the span at sim time ``now`` and record it."""
-        if extra_args:
-            self.args.update(extra_args)
-        return self._tracer.complete(self.name, self.pid, self.tid,
-                                     self.start, now, **self.args)
-
-
 class Tracer:
-    """Collects spans and counter samples across measurements."""
+    """Collects spans across measurements."""
 
     def __init__(self):
         self.spans: list[Span] = []
@@ -74,8 +51,6 @@ class Tracer:
         self.processes: list[str] = []
         #: (pid, tid, track name) in registration order.
         self.tracks: list[tuple[int, int, str]] = []
-        #: counter samples: (pid, name, sim time, value).
-        self.counter_samples: list[tuple[int, str, float, float]] = []
         self._track_ids: dict[tuple[int, str], int] = {}
         self._tracks_per_pid: dict[int, int] = {}
 
@@ -106,20 +81,8 @@ class Tracer:
         self.spans.append(span)
         return span
 
-    def begin(self, name: str, pid: int, tid: int, start: float,
-              **args) -> SpanHandle:
-        """Open a span; close it with :meth:`SpanHandle.end`."""
-        return SpanHandle(self, name, pid, tid, start, args)
-
-    def counter(self, pid: int, name: str, now: float, value: float) -> None:
-        """Record a counter-track sample (rendered as a Perfetto graph)."""
-        self.counter_samples.append((pid, name, now, value))
-
     # ------------------------------------------------------------------
     def spans_named(self, name: str, pid: int | None = None) -> list[Span]:
         """All spans of the given name (optionally within one process)."""
         return [s for s in self.spans
                 if s.name == name and (pid is None or s.pid == pid)]
-
-    def __len__(self) -> int:
-        return len(self.spans)

@@ -296,8 +296,7 @@ class FleetSim:
                     "rack bursts / ToR outages need a multi-rack config")
         rng = np.random.default_rng(seed)
         obs = self.obs
-        hooks = obs.engine_hooks if obs is not None else None
-        env = Environment(trace_hooks=hooks)
+        env = Environment(trace_hooks=obs)
         st = _Trial(self.n_disks)
         horizon = params.years * HOURS_PER_YEAR
         q = params.fatal_probabilities

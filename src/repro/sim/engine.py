@@ -36,14 +36,15 @@ must not change — see DESIGN.md, "The bit-identity constraint".
   :meth:`Environment.close` still closes the survivors in creation order:
   that order fixes when their ``with``-held grants release, hence the
   metrics, so it must not depend on which processes happened to finish.
-* Engine activity is counted natively.  ``seq`` already numbers every
-  enqueue and a per-environment tally counts resumes; both are added into
-  the observer's ``engine.events_scheduled``/``engine.process_resumes``
-  counters when :meth:`Environment.run` returns, before each timeline
-  sample and in :meth:`Environment.close`.  Per-event hooks are bound only
-  when something needs each event (a flight recorder, invariant checker
-  or profiler, or any hooks object that is not counting-only), decided
-  once when the environment is built.
+* Engine activity is counted natively, and only so.  ``seq`` already
+  numbers every enqueue and a per-environment tally counts resumes; both
+  are added into the observer's ``engine.events_scheduled``/
+  ``engine.process_resumes`` counters when :meth:`Environment.run`
+  returns, before each timeline sample and in :meth:`Environment.close`.
+  Per-event hooks are bound only when the observer says a tool needs each
+  event (a flight recorder, invariant checker or profiler), decided once
+  when the environment is built; they never count, so attaching a tool
+  cannot move the counters.
 """
 
 from __future__ import annotations
@@ -319,16 +320,15 @@ class AnyOf(Event):
 class Environment:
     """The simulation clock and event queue.
 
-    ``trace_hooks`` (optional) receives ``on_schedule(when, event)`` for
-    every enqueued event and ``on_resume(process, trigger)`` for every
-    process resumption — see :class:`repro.obs.EngineHooks`.  The hooks are
-    bound once at construction (``_on_schedule``/``_on_resume``), so the
-    untraced hot path pays a single ``is not None`` test per event.
-
-    Hooks that only count may say so: when ``trace_hooks.native_counters()``
-    returns an ``(events_scheduled, process_resumes)`` pair of counters,
-    no per-event hook is bound and the environment adds its own counts
-    into them instead (see the module docstring).
+    ``trace_hooks`` (optional) is an observer (:class:`repro.obs.Observer`,
+    duck-typed so this layer imports nothing from ``repro.obs``).  The
+    environment adds its own event and resume counts into the observer's
+    ``events_scheduled``/``process_resumes`` counters (see the module
+    docstring), binds the ``(on_schedule, on_resume)`` pair its
+    ``event_hooks()`` returns, and lets its ``timeline``, if any, sample
+    the clock.  Bound once at construction (``_on_schedule``/
+    ``_on_resume``), an unbound hook costs the hot path one ``is not
+    None`` test per event.
 
     Future events (positive-delay timeouts) live in the ``_queue`` heap;
     immediate events (callbacks of triggered events, process starts,
@@ -361,19 +361,16 @@ class Environment:
         # None` test per forward clock move.
         self._on_advance = None
         if trace_hooks is not None:
-            native = getattr(trace_hooks, "native_counters", None)
-            if native is not None:
-                self._counters = native()
-            if self._counters is None:
-                self._on_schedule = trace_hooks.on_schedule
-                self._on_resume = trace_hooks.on_resume
-            timeline = getattr(trace_hooks, "timeline", None)
+            self._counters = (trace_hooks.events_scheduled,
+                              trace_hooks.process_resumes)
+            self._on_schedule, self._on_resume = trace_hooks.event_hooks()
+            timeline = trace_hooks.timeline
             if timeline is not None:
                 self._on_advance = timeline.bind(self)
 
     def _flush_counts(self) -> None:
         """Add the enqueues and resumes since the last flush into the
-        native counters (a no-op when per-event hooks or none are bound)."""
+        observer's counters (a no-op without an observer)."""
         counters = self._counters
         if counters is not None:
             scheduled, resumed = counters

@@ -28,10 +28,10 @@ def test_on_schedule_rejects_past_events():
     checker.on_schedule(5.0, env.event())  # at `now` is fine
 
 
-def test_schedule_checks_flow_through_engine_hooks():
+def test_schedule_checks_flow_through_the_observer():
     obs = Observer()
     checker = attach_invariant_checker(obs)
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
 
     def proc():
         yield env.timeout(1)
@@ -39,7 +39,7 @@ def test_schedule_checks_flow_through_engine_hooks():
 
     env.process(proc())
     env.run()
-    assert checker.stats["schedule_checks"] > 0
+    assert checker.stats["schedule_checks"] == obs.events_scheduled.value > 0
 
 
 # ----------------------------------------------------------------------

@@ -37,10 +37,9 @@ def test_ingest_assigns_objects(cluster):
         assert obj.role is not None and 0 <= obj.role < 10
 
 
-def test_total_bytes_and_metadata(cluster):
+def test_total_bytes(cluster):
     cat = geo_catalog(cluster, [10 * MB, 30 * MB])
     assert cat.total_bytes == 40 * MB
-    assert cat.metadata_bytes == 80
 
 
 def test_small_bucket_share(cluster):

@@ -94,6 +94,30 @@ def test_foreground_sizes_match_uniform_reference():
     assert len(requested) > 50 and requested == expected
 
 
+def test_foreground_io_count_is_one_plus_one_per_whole_16mib():
+    """A mean-sized read takes one I/O plus one per whole 16 MiB; each
+    read scales that count by its jittered size."""
+    model = DiskModel("t", 0.001, 100 * MB, 100 * MB)
+    for mean_bytes, mean_ios in ((4 * MB, 1), (16 * MB - 1, 1),
+                                 (16 * MB, 2), (40 * MB, 3)):
+        requested = []
+
+        class RecordingDisk:
+            def read(self, ios, size, priority):
+                requested.append((ios, size))
+                yield from ()
+
+        disk = RecordingDisk()
+        disk.model = model
+        env = Environment()
+        start_foreground_load(env, [disk], np.random.default_rng(4),
+                              mean_read_bytes=mean_bytes)
+        env.run(until=40 * model.read_time(mean_ios, mean_bytes))
+        assert len(requested) > 5
+        assert all(ios == max(1, int(round(mean_ios * size / mean_bytes)))
+                   for ios, size in requested)
+
+
 def test_foreground_load_hits_target_utilization():
     env = Environment()
     disks = _make_disks(env)

@@ -9,7 +9,7 @@ from repro.cluster import ClusterConfig, RCStor
 from repro.codes import ClayCode, LRCCode, RSCode
 from repro.core import ContiguousLayout, GeometricLayout, StripeLayout
 from repro.faults import FaultEvent, FaultPlan
-from repro.obs import Observer
+from repro.obs import Observer, snapshot, summarize
 
 MB = 1 << 20
 
@@ -115,7 +115,7 @@ class TestEmptyPlanIdentity:
                 result,
                 metrics.counter("engine.events_scheduled").value,
                 metrics.counter("engine.process_resumes").value))
-            summaries.append(metrics.summary())
+            summaries.append(summarize(snapshot(obs)))
         assert outcomes[0][1] > 0
         assert outcomes[1] == outcomes[0]
         if not plan:

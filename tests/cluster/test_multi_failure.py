@@ -165,20 +165,3 @@ def test_multi_failure_with_rs_stripe(stripe_rs):
     report = s.run_multi_failure_recovery([pg.disk_ids[0], pg.disk_ids[5]])
     assert report.repaired_bytes > 0
     assert report.recovery_rate > 0
-
-
-def test_node_recovery(system):
-    """A whole node fails: each PG loses one disk, so work is 6 optimal
-    single-disk recoveries sharing the cluster."""
-    report = system.run_node_recovery(0)
-    singles = [system.run_recovery(d) for d in range(6)]
-    assert report.repaired_bytes == sum(s.repaired_bytes for s in singles)
-    # Parallelism: the node recovery beats running the six serially.
-    assert report.makespan < sum(s.makespan for s in singles)
-    # But it cannot beat the slowest single-disk recovery.
-    assert report.makespan >= max(s.makespan for s in singles) * 0.9
-
-
-def test_node_recovery_validation(system):
-    with pytest.raises(ValueError):
-        system.run_node_recovery(99)

@@ -88,16 +88,18 @@ def dump(obs: Observer) -> dict:
 # ----------------------------------------------------------------------
 # The end state, field by field
 # ----------------------------------------------------------------------
-class _LastResumes:
-    """Per-event hooks that remember the clock at the last two resumes."""
+class _LastResumes(Observer):
+    """An observer whose resume hook remembers the clock at the last two
+    resumes."""
 
     env = None
 
     def __init__(self):
+        super().__init__()
         self.times = deque(maxlen=2)
 
-    def on_schedule(self, when, event):
-        pass
+    def event_hooks(self):
+        return None, self.on_resume
 
     def on_resume(self, process, trigger):
         self.times.append(self.env.now)
@@ -171,7 +173,7 @@ def _read_state(env, disks, rng, obs, hooks, driver):
 def kernel_end_state(models, utilization, mean_bytes, seed, warmup):
     state = foreground._simulate(
         np.random.default_rng(seed), models, utilization, mean_bytes,
-        foreground._mean_ios(mean_bytes, None), warmup)
+        foreground._mean_ios(mean_bytes), warmup)
     assert state is not None
     fields = state._asdict()
     waits = None
@@ -195,7 +197,7 @@ def test_kernel_end_state_equals_des(seed, model, n_disks, utilization,
                                      mean_bytes, arrivals):
     """``arrivals`` sizes the warm-up in mean inter-arrival times, so it
     stays short whatever the read size."""
-    mean_ios = foreground._mean_ios(mean_bytes, None)
+    mean_ios = foreground._mean_ios(mean_bytes)
     warmup = arrivals * model.read_time(mean_ios, mean_bytes) / utilization
     models = (model,) * n_disks
     des = des_end_state(models, utilization, mean_bytes, seed, warmup)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.ecpipe import (
     ecpipe_repair_time,
-    optimal_packet_size,
     speedup,
     star_repair_time,
 )
@@ -52,20 +51,6 @@ def test_per_packet_overhead_penalises_tiny_packets():
     medium = ecpipe_repair_time(8 * MB, 10, BW, 64 * 1024,
                                 per_packet_overhead=1e-5)
     assert small > medium
-
-
-def test_optimal_packet_balances_tradeoff():
-    strip, k, c = 8 * MB, 10, 1e-5
-    p_opt = optimal_packet_size(strip, k, BW, c)
-    t_opt = ecpipe_repair_time(strip, k, BW, p_opt, per_packet_overhead=c)
-    for p in (p_opt // 4, p_opt * 4):
-        if 0 < p <= strip:
-            assert t_opt <= ecpipe_repair_time(strip, k, BW, p,
-                                               per_packet_overhead=c) + 1e-9
-
-
-def test_optimal_packet_zero_overhead():
-    assert optimal_packet_size(8 * MB, 10, BW, 0) == 1
 
 
 def test_k_one_is_trivial():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core import PipelineStep, degraded_read_time, pipeline_timeline
 from repro.core.pipeline import (
-    pipeline_efficiency,
     repair_time,
     transfer_time,
     unpipelined_read_time,
@@ -77,7 +76,6 @@ def test_timeline_consistency():
 def test_empty_pipeline():
     assert degraded_read_time([]) == 0.0
     assert pipeline_timeline([]) == []
-    assert pipeline_efficiency([]) == 0.0
 
 
 def test_aggregate_helpers():
@@ -85,12 +83,6 @@ def test_aggregate_helpers():
     assert repair_time(steps) == 4
     assert transfer_time(steps) == 6
     assert unpipelined_read_time(steps) == 10
-
-
-def test_efficiency_bounds():
-    steps = [PipelineStep(1, 1) for _ in range(8)]
-    eff = pipeline_efficiency(steps)
-    assert 0.0 < eff < 1.0
 
 
 @settings(max_examples=100, deadline=None)

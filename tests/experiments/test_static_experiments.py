@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.experiments import calibration, fig2, fig4, fig7, fig14, table1, table2
-from repro.experiments.common import run_at_seed
+from repro.core import GeometricPartitioner
+from repro.experiments import (
+    breakdown, calibration, fig2, fig4, fig7, fig14, table1, table2)
+from repro.experiments.common import run_at_seed, sample_workload, setting_by_name
 from repro.runner import typed_rows
 
 KB = 1 << 10
@@ -131,6 +133,32 @@ def test_fig14_w2():
     results = run_at_seed(fig14.scenarios("W2", n_objects=5000))
     assert fig14.best_q(typed_rows(results, fig14.QPoint)) in (2, 3)
     assert "Peak at q=" in fig14.render(results)
+
+
+# ----------------------------------------------------------------------
+# §6.3 breakdown
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workload", ["W1", "W2"])
+def test_breakdown_geo_rows_partition_every_object(workload):
+    """Each Geo row is what partitioning every sampled object gives: the
+    front bytes over all bytes, and the bucketed bytes per chunk."""
+    setting = setting_by_name(workload)
+    sizes = [int(s) for s in sample_workload(setting, 400, 0)]
+    rows = typed_rows(run_at_seed(breakdown.scenarios(workload, 400)),
+                      breakdown.BreakdownRow)
+    assert len(rows) == len(setting.geo_s0_variants) + 1
+    for s0, row in zip(setting.geo_s0_variants, rows):
+        partitioner = GeometricPartitioner(s0, 2, setting.max_chunk_size)
+        parts = [partitioner.partition(size) for size in sizes]
+        assert row.small_bucket_share == pytest.approx(
+            sum(p.front for p in parts) / sum(sizes), rel=1e-12)
+        assert row.average_chunk_size == pytest.approx(
+            sum(p.partitioned_bytes for p in parts)
+            / sum(p.n_chunks for p in parts), rel=1e-12)
+    shares = [row.small_bucket_share for row in rows[:-1]]
+    assert shares == sorted(shares)  # a larger s0 leaves a larger front
+    assert rows[-1].scheme == "Stripe-Max"
+    assert rows[-1].small_bucket_share == 0.0
 
 
 # ----------------------------------------------------------------------

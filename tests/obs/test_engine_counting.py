@@ -1,12 +1,14 @@
-"""Differential oracle for the engine's two counting paths.
+"""Attaching a per-event tool must not move what the engine counts.
 
-A counting-only observer lets the environment count natively: ``_seq``
-numbers every enqueue and a tally counts resumes, both added into the
-engine counters when ``run()`` returns, before each timeline sample and in
-``close()``.  A flight recorder, invariant checker or profiler binds the
-per-event hooks instead.  A busy W2 degraded-read measurement must report
-the same rows and engine counters either way; its foreground generators
-are closed at finalize, so the events their cleanup schedules count too.
+The environment always counts natively: ``_seq`` numbers every enqueue and
+a tally counts resumes, both added into the engine counters when ``run()``
+returns, before each timeline sample and in ``close()``.  A flight
+recorder, invariant checker or profiler only gets the per-event hooks
+bound.  A busy W2 degraded-read measurement must report the same rows and
+engine counters with each tool alone, and with all three, as with none;
+its foreground generators are closed at finalize, so the events their
+cleanup schedules count too.  Each tool also counts what it saw itself,
+an independent reference for the engine's counts.
 """
 
 import pytest
@@ -18,6 +20,10 @@ from repro.obs import (
     Observer, attach_flightrec, attach_profiler, attach_timeline, observed)
 
 ENGINE = ("engine.events_scheduled", "engine.process_resumes")
+
+TOOLS = {"invariants": attach_invariant_checker,
+         "flightrec": attach_flightrec,
+         "profiler": attach_profiler}
 
 
 def _measure(*attach):
@@ -38,21 +44,26 @@ def _measure(*attach):
 @pytest.fixture(scope="module")
 def native():
     obs, rows, counts = _measure()
-    assert obs.engine_hooks.native_counters() is not None
+    assert obs.event_hooks() == (None, None)
     assert counts[0] > 1000 and counts[1] > 0
     return rows, counts
 
 
-def test_per_event_hooks_count_what_native_counting_counts(native):
-    obs, rows, counts = _measure(attach_invariant_checker, attach_flightrec,
-                                 attach_profiler)
-    assert obs.engine_hooks.native_counters() is None
+@pytest.mark.parametrize("tools", [("invariants",), ("flightrec",),
+                                   ("profiler",), tuple(TOOLS)],
+                         ids="+".join)
+def test_per_event_tools_leave_the_counts_unchanged(native, tools):
+    obs, rows, counts = _measure(*(TOOLS[name] for name in tools))
     assert (rows, counts) == native
     # The attached tools saw every event themselves.
-    assert obs.invariants.stats["schedule_checks"] == counts[0]
-    resumes = sum(row["resumes"]
-                  for row in obs.profiler.profile_doc()["sites"])
-    assert resumes == counts[1]
+    if obs.invariants is not None:
+        assert obs.invariants.stats["schedule_checks"] == counts[0]
+    if obs.flightrec is not None:
+        assert obs.flightrec.n_seen == counts[0]
+    if obs.profiler is not None:
+        resumes = sum(row["resumes"]
+                      for row in obs.profiler.profile_doc()["sites"])
+        assert resumes == counts[1]
 
 
 def test_timeline_samples_flushed_counts(native):

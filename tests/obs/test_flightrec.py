@@ -10,7 +10,7 @@ from repro.sim import Environment
 
 
 def _run_ticks(obs, n=10):
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
 
     def worker():
         for _ in range(n):

@@ -94,21 +94,6 @@ def test_empty_histogram_every_readout_is_zero():
     assert h.mean == 0.0
 
 
-def test_summary_deterministically_sorted():
-    def build(keys):
-        reg = MetricsRegistry()
-        for key in keys:
-            reg.counter(key).inc()
-        reg.gauge("g.depth").set(2, now=1.0)
-        reg.histogram("h.wait").observe(0.5)
-        return reg.summary()
-
-    a = build(["z.last", "a.first", "m.mid"])
-    b = build(["m.mid", "z.last", "a.first"])
-    assert a == b  # registration order is invisible
-    assert a.index("a.first") < a.index("m.mid") < a.index("z.last")
-
-
 def test_registry_creates_and_reuses():
     reg = MetricsRegistry()
     a = reg.counter("reads", disk=3)
@@ -133,22 +118,6 @@ def test_format_metric_name_sorts_labels():
 def test_registry_get_returns_none_for_missing():
     reg = MetricsRegistry()
     assert reg.get("nope") is None
-
-
-def test_summary_renders_all_kinds():
-    reg = MetricsRegistry()
-    reg.counter("events").inc(7)
-    reg.gauge("depth", dev=0).set(2, now=1.0)
-    reg.histogram("wait", lane=0).observe(0.5)
-    text = reg.summary()
-    assert "events" in text and "7" in text
-    assert "depth{dev=0}" in text
-    assert "wait{lane=0}" in text
-    assert "p95" in text
-
-
-def test_summary_empty_registry():
-    assert "no metrics" in MetricsRegistry().summary()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.sim import Environment
 
 
 def _run(obs, n=5):
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
 
     def spinner(env):
         for _ in range(n):
@@ -44,7 +44,7 @@ def test_profiler_attributes_time_per_generator_site():
 
 def test_site_of_names_file_and_line():
     obs = Observer()
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
 
     def proc(env):
         yield env.timeout(1)
@@ -107,7 +107,7 @@ def test_bench_section_and_text_summary():
 
 def test_snapshot_carries_profile_only_when_armed():
     plain = Observer()
-    Environment(trace_hooks=plain.engine_hooks).run()
+    Environment(trace_hooks=plain).run()
     assert "profile" not in snapshot(plain)
 
     armed = Observer()

@@ -18,7 +18,7 @@ from repro.sim import Environment
 def _report_doc():
     obs = Observer()
     attach_timeline(obs, sample_interval=1.0)
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
     pid = obs.tracer.process("run")
     c = obs.metrics.counter("work.done")
     h = obs.metrics.histogram("work.wait")

@@ -106,6 +106,32 @@ def test_summarize_renders_all_sections():
     assert summarize(merge_snapshots([])) == "(no metrics recorded)"
 
 
+def test_summarize_deterministically_sorted():
+    def build(keys):
+        obs = Observer()
+        for key in keys:
+            obs.metrics.counter(key).inc()
+        obs.metrics.gauge("g.depth").set(2, now=1.0)
+        obs.metrics.histogram("h.wait").observe(0.5)
+        return summarize(snapshot(obs))
+
+    a = build(["z.last", "a.first", "m.mid"])
+    b = build(["m.mid", "z.last", "a.first"])
+    assert a == b  # registration order is invisible
+    assert a.index("a.first") < a.index("m.mid") < a.index("z.last")
+
+
+def test_a_fresh_observer_reports_the_engine_counters_at_zero():
+    # Registered when the observer is built, so a unit that builds no
+    # environment still lists them.
+    snap = snapshot(Observer())
+    assert snap["counters"] == {"engine.events_scheduled": 0,
+                                "engine.process_resumes": 0}
+    text = summarize(snap)
+    assert "engine.events_scheduled" in text
+    assert "engine.process_resumes" in text
+
+
 def test_merge_trace_events_rebases_pids_disjointly():
     unit_a = [{"ph": "X", "name": "w", "pid": 0, "tid": 0},
               {"ph": "X", "name": "w", "pid": 1, "tid": 0}]

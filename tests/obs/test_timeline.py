@@ -8,7 +8,7 @@ from repro.sim import Environment
 
 
 def _run_workload(obs, n=20, pitch=0.5, label=None):
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
     if label is not None:
         obs.timeline.set_label(env, label)
     done = obs.metrics.counter("work.done")
@@ -54,7 +54,7 @@ def test_histogram_series_ship_count_and_percentiles():
 def test_labelled_counters_aggregate_by_base_name():
     obs = Observer()
     attach_timeline(obs, sample_interval=1.0)
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
     a = obs.metrics.counter("disk.reads", disk=0)
     b = obs.metrics.counter("disk.reads", disk=1)
 
@@ -75,7 +75,7 @@ def test_labelled_counters_aggregate_by_base_name():
 def test_metric_born_mid_run_is_zero_backfilled():
     obs = Observer()
     attach_timeline(obs, sample_interval=1.0)
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
 
     def worker():
         yield env.timeout(3.0)
@@ -94,7 +94,7 @@ def test_metric_born_mid_run_is_zero_backfilled():
 def test_auto_interval_decimates_and_stays_bounded():
     obs = Observer()
     attach_timeline(obs)  # auto-scale
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
     c = obs.metrics.counter("n")
 
     def worker():
@@ -165,7 +165,7 @@ def test_merge_is_ordered_concatenation():
 
 def test_snapshot_carries_timeline_only_when_armed():
     plain = Observer()
-    Environment(trace_hooks=plain.engine_hooks).run()
+    Environment(trace_hooks=plain).run()
     assert "timeline" not in snapshot(plain)
 
     armed = Observer()

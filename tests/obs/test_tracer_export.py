@@ -4,10 +4,13 @@ import json
 
 import pytest
 
+from repro.analysis import attach_invariant_checker
 from repro.obs import (
     Observer,
     Tracer,
-    chrome_trace,
+    attach_flightrec,
+    attach_profiler,
+    attach_timeline,
     chrome_trace_events,
     observed,
     write_chrome_trace,
@@ -38,16 +41,6 @@ def test_complete_span_records_interval():
     assert t.spans_named("decode") == [span]
 
 
-def test_begin_end_span():
-    t = Tracer()
-    pid = t.process("run")
-    handle = t.begin("read", pid, t.track(pid, "io"), 2.0, disk=3)
-    span = handle.end(5.0, nbytes=7)
-    assert span.start == 2.0 and span.duration == pytest.approx(3.0)
-    assert span.args == {"disk": 3, "nbytes": 7}
-    assert len(t) == 1
-
-
 def test_span_cannot_end_before_start():
     t = Tracer()
     with pytest.raises(ValueError):
@@ -59,10 +52,7 @@ def test_chrome_trace_structure():
     pid = t.process("Geo-4M/degraded")
     tid = t.track(pid, "repair")
     t.complete("helper_reads", pid, tid, 0.25, 0.75, nbytes=10)
-    t.counter(pid, "queue_depth", 0.5, 3)
-    doc = chrome_trace(t)
-    events = doc["traceEvents"]
-    assert doc["displayTimeUnit"] == "ms"
+    events = chrome_trace_events(t)
     meta = [e for e in events if e["ph"] == "M"]
     names = {(e["name"], e["args"].get("name")) for e in meta}
     assert ("process_name", "Geo-4M/degraded") in names
@@ -72,8 +62,6 @@ def test_chrome_trace_structure():
     assert x["ts"] == pytest.approx(0.25e6)      # sim seconds -> us
     assert x["dur"] == pytest.approx(0.5e6)
     assert x["args"] == {"nbytes": 10}
-    (c,) = [e for e in events if e["ph"] == "C"]
-    assert c["args"] == {"queue_depth": 3}
 
 
 def test_write_chrome_trace_roundtrip(tmp_path):
@@ -81,35 +69,20 @@ def test_write_chrome_trace_roundtrip(tmp_path):
     pid = t.process("run")
     t.complete("span", pid, t.track(pid, "t"), 0.0, 1.0)
     out = tmp_path / "trace.json"
-    assert write_chrome_trace(t, str(out)) == 1
-    loaded = json.loads(out.read_text())
-    assert isinstance(loaded["traceEvents"], list)
-    assert any(e.get("ph") == "X" for e in loaded["traceEvents"])
-
-
-def test_chrome_trace_of_empty_tracer():
-    # No processes, tracks or spans: a valid, empty-but-loadable document.
-    doc = chrome_trace(Tracer())
-    assert doc["traceEvents"] == []
-    assert json.loads(json.dumps(doc)) == doc
-
-
-def test_unclosed_span_handle_is_not_exported():
-    t = Tracer()
-    pid = t.process("run")
-    tid = t.track(pid, "t")
-    handle = t.begin("open", pid, tid, 1.0)
-    t.complete("closed", pid, tid, 0.0, 0.5)
-    # The open handle never called .end(): it must not leak into the
-    # span list or the export.
-    assert len(t) == 1
     events = chrome_trace_events(t)
-    assert [e["name"] for e in events if e["ph"] == "X"] == ["closed"]
-    # Closing it afterwards records it with the handle's stored start.
-    span = handle.end(2.0, reason="late")
-    assert span.start == 1.0 and span.duration == 1.0
-    assert span.args == {"reason": "late"}
-    assert len(t) == 2
+    write_chrome_trace(events, str(out))
+    loaded = json.loads(out.read_text())
+    assert loaded == {"traceEvents": events, "displayTimeUnit": "ms"}
+    assert [e["ph"] for e in loaded["traceEvents"]].count("X") == 1
+
+
+def test_chrome_trace_of_empty_tracer(tmp_path):
+    # No processes, tracks or spans: a valid, empty-but-loadable document.
+    assert chrome_trace_events(Tracer()) == []
+    out = tmp_path / "empty.json"
+    write_chrome_trace([], str(out))
+    assert json.loads(out.read_text()) == {"traceEvents": [],
+                                           "displayTimeUnit": "ms"}
 
 
 def test_nested_same_track_spans_roundtrip(tmp_path):
@@ -122,7 +95,7 @@ def test_nested_same_track_spans_roundtrip(tmp_path):
     t.complete("outer", pid, tid, 0.0, 10.0)
     t.complete("inner", pid, tid, 2.0, 4.0)
     out = tmp_path / "nested.json"
-    assert write_chrome_trace(t, str(out)) == 2
+    write_chrome_trace(chrome_trace_events(t), str(out))
     loaded = json.loads(out.read_text(encoding="utf-8"))
     spans = {e["name"]: e for e in loaded["traceEvents"]
              if e["ph"] == "X"}
@@ -139,13 +112,12 @@ def test_write_chrome_trace_is_perfetto_loadable(tmp_path):
     t = Tracer()
     pid = t.process("Geo-4M/degraded")
     t.complete("read", pid, t.track(pid, "client"), 0.0, 0.125, nbytes=4096)
-    t.counter(pid, "depth", 0.1, 2)
     out = tmp_path / "trace.json"
-    write_chrome_trace(t, str(out))
+    write_chrome_trace(chrome_trace_events(t), str(out))
     loaded = json.loads(out.read_text(encoding="utf-8"))
     assert set(loaded) == {"traceEvents", "displayTimeUnit"}
     for event in loaded["traceEvents"]:
-        assert event["ph"] in {"M", "X", "C"}
+        assert event["ph"] in {"M", "X"}
         assert isinstance(event["pid"], int) and isinstance(event["tid"], int)
         if event["ph"] == "X":
             assert isinstance(event["ts"], float)
@@ -166,11 +138,11 @@ def test_default_observer_context():
     assert get_default_observer() is None
 
 
-def test_engine_hooks_count_into_registry():
+def test_environment_counts_into_its_observer():
     from repro.sim import Environment
 
     obs = Observer()
-    env = Environment(trace_hooks=obs.engine_hooks)
+    env = Environment(trace_hooks=obs)
 
     def proc():
         yield env.timeout(1)
@@ -179,3 +151,22 @@ def test_engine_hooks_count_into_registry():
     env.run(env.process(proc()))
     assert obs.metrics.counter("engine.events_scheduled").value > 0
     assert obs.metrics.counter("engine.process_resumes").value >= 2
+
+
+@pytest.mark.parametrize("attach, name, hooks", [
+    (attach_invariant_checker, "invariants", ("on_schedule", None)),
+    (attach_flightrec, "flightrec", ("on_schedule", None)),
+    (attach_profiler, "profiler", (None, "on_resume")),
+    (attach_timeline, "timeline", (None, None)),
+], ids=["invariants", "flightrec", "profiler", "timeline"])
+def test_attach_sets_one_attribute_and_binds_only_what_the_tool_needs(
+        attach, name, hooks):
+    obs = Observer()
+    assert obs.event_hooks() == (None, None)
+    before = dict(vars(obs))
+    tool = attach(obs)
+    changed = {key for key, value in vars(obs).items()
+               if value is not before.get(key)}
+    assert changed == {name} and getattr(obs, name) is tool
+    assert obs.event_hooks() == tuple(
+        None if hook is None else getattr(obs, hook) for hook in hooks)

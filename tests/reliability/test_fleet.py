@@ -3,7 +3,6 @@ Markov chain, determinism, and the fault-model mechanics."""
 
 import gc
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,12 +218,16 @@ def test_vector_lifetime_draw_equals_scalar_draws(shape):
     assert vec.bit_generator.state == one.bit_generator.state
 
 
-class _ScheduleRecorder:
-    """Engine hooks keeping each scheduled event's time."""
+class _ScheduleRecorder(Observer):
+    """An observer whose engine hooks keep each scheduled event's time."""
 
     def __init__(self):
+        super().__init__()
         self.whens: list[float] = []
         self.env = None
+
+    def event_hooks(self):
+        return self.on_schedule, self.on_resume
 
     def on_schedule(self, when, event):
         self.whens.append(when)
@@ -249,8 +252,7 @@ _ALL_ON = dict(afr=0.4, node_afr=0.3, lse_rate=1.5,
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_no_timer_is_scheduled_past_the_horizon(seed):
     recorder = _ScheduleRecorder()
-    obs = SimpleNamespace(engine_hooks=recorder, metrics=Observer().metrics)
-    sim = FleetSim.from_cluster(_RACKED, obs=obs)
+    sim = FleetSim.from_cluster(_RACKED, obs=recorder)
     params = simple_params(years=1.0, **_ALL_ON)
     r = sim.run_trial(params, seed)
     assert r.disk_failures > 0 and r.rack_bursts + r.tor_outages > 0

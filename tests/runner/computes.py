@@ -32,7 +32,7 @@ def sim_ticks(n=12, seed=0):
     from repro.sim import Environment
 
     obs = get_default_observer()
-    env = Environment(trace_hooks=obs.engine_hooks if obs else None)
+    env = Environment(trace_hooks=obs)
     done = obs.metrics.counter("ticks.done") if obs else None
     wait = obs.metrics.histogram("ticks.wait") if obs else None
     timeline = getattr(obs, "timeline", None) if obs else None
@@ -57,7 +57,7 @@ def explodes(seed=0):
     from repro.sim import Environment
 
     obs = get_default_observer()
-    env = Environment(trace_hooks=obs.engine_hooks if obs else None)
+    env = Environment(trace_hooks=obs)
 
     def doomed():
         yield env.timeout(1.0)

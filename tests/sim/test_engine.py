@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.obs import Observer
 from repro.sim import AllOf, Environment, SimulationError
 
 
@@ -374,14 +375,18 @@ def test_rehop_preserves_clock():
 def test_trace_hooks_observe_schedule_and_resume():
     calls = {"schedule": 0, "resume": 0}
 
-    class Hooks:
+    class Hooks(Observer):
+        def event_hooks(self):
+            return self.on_schedule, self.on_resume
+
         def on_schedule(self, when, event):
             calls["schedule"] += 1
 
         def on_resume(self, process, trigger):
             calls["resume"] += 1
 
-    env = Environment(trace_hooks=Hooks())
+    hooks = Hooks()
+    env = Environment(trace_hooks=hooks)
 
     def proc():
         yield env.timeout(1)
@@ -390,6 +395,9 @@ def test_trace_hooks_observe_schedule_and_resume():
     env.run(env.process(proc()))
     assert calls["schedule"] >= 3   # start event + two timeouts
     assert calls["resume"] == 3     # two resumes + final StopIteration
+    # The engine counts what its hooks saw.
+    assert hooks.events_scheduled.value == calls["schedule"]
+    assert hooks.process_resumes.value == calls["resume"]
 
 
 def test_finished_process_is_not_retained():
