@@ -502,8 +502,6 @@ class HotLoopMetricLookupRule(Rule):
                     if chain is None:
                         continue
                     parts = chain.lower().split(".")
-                    if "tracer" in parts:
-                        continue  # tracer.counter tracks, not the registry
                     if not any("metrics" in p or p == "obs" for p in parts):
                         continue
                     key = (node.lineno, node.col_offset)

@@ -8,6 +8,9 @@ gate is expressed as disk-years per second:
   2.5k-disk fleet over two simulated years.
 * ``reliability.fleet_topology`` — fleet-scale PG enumeration through
   the placement registry plus the per-disk rack-span precomputation.
+* ``reliability.fleet_topology_flat`` — the same for the 10,240-disk
+  ``flat_random`` fleet each durability-frontier unit builds (the e2e
+  ``fleet`` workload's topology).
 * ``reliability.markov_sweep`` — the analytic MTTDL chain across a
   repair-time sweep (the ``durability`` experiment's inner loop).
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from repro.bench.harness import BenchSpec
 from repro.cluster.topology import ClusterConfig
+from repro.experiments.durability_frontier import fleet_config
 from repro.reliability import (
     FleetParams,
     FleetSim,
@@ -27,6 +31,8 @@ from repro.reliability import (
 _CONFIG = ClusterConfig(n_nodes=320, disks_per_node=8, n_racks=8,
                         nodes_per_rack=40, n_pgs=1280, placement="rack_aware",
                         pg_seed=1)
+
+_FLAT_CONFIG = fleet_config(10_240, "flat_random", pg_seed=1)
 
 _PARAMS = FleetParams(
     fatal_probabilities=mds_fatal_probabilities(4), years=2.0, afr=0.1,
@@ -56,6 +62,10 @@ def _fleet_topology() -> int:
     return _fleet_sim().n_pgs
 
 
+def _fleet_topology_flat() -> int:
+    return FleetSim.from_cluster(_FLAT_CONFIG).n_pgs
+
+
 def _markov_sweep() -> float:
     q = mds_fatal_probabilities(4)
     total = 0.0
@@ -73,6 +83,9 @@ def specs() -> list[BenchSpec]:
                   units=disk_years),
         BenchSpec("reliability.fleet_topology", "reliability",
                   _fleet_topology, units=_CONFIG.n_pgs),
+        BenchSpec("reliability.fleet_topology_flat", "reliability",
+                  _fleet_topology_flat, units=_FLAT_CONFIG.n_pgs,
+                  repeats=5),
         BenchSpec("reliability.markov_sweep", "reliability", _markov_sweep,
                   units=_N_MARKOV),
     ]

@@ -13,10 +13,9 @@ nodes sharing its copysets).
 
 from __future__ import annotations
 
-from typing import Iterable
+import numpy as np
 
-from repro.cluster.placement.base import least_loaded_disk, rotated
-from repro.cluster.topology import ClusterConfig, PlacementGroup
+from repro.cluster.topology import ClusterConfig
 
 
 class CopysetPolicy:
@@ -29,22 +28,15 @@ class CopysetPolicy:
     #: data-loss probability and recovery scatter width.
     n_permutations = 2
 
-    def build_pgs(self, config: ClusterConfig) -> Iterable[PlacementGroup]:
-        import numpy as np
-
+    def node_picks(self, config: ClusterConfig) -> np.ndarray:
         rng = np.random.default_rng(config.pg_seed)
         n = config.n
         sets_per_perm = config.n_nodes // n
         if sets_per_perm < 1:
             raise ValueError(
                 f"copyset needs at least n={n} nodes, have {config.n_nodes}")
-        pool: list[list[int]] = []
-        for _ in range(self.n_permutations):
-            perm = [int(x) for x in rng.permutation(config.n_nodes)]
-            pool.extend(perm[s * n:(s + 1) * n]
-                        for s in range(sets_per_perm))
-        picks = [0] * config.n_nodes
-        for p in range(config.n_pgs):
-            nodes = pool[p % len(pool)]
-            disks = [least_loaded_disk(config, node, picks) for node in nodes]
-            yield PlacementGroup(p, rotated(disks, p, n))
+        pool = np.concatenate([
+            rng.permutation(config.n_nodes)[:sets_per_perm * n]
+            .reshape(sets_per_perm, n)
+            for _ in range(self.n_permutations)])
+        return pool[np.arange(config.n_pgs) % len(pool)]

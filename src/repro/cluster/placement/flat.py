@@ -1,17 +1,17 @@
 """``flat_random``: the historical rack-blind randomised builder.
 
-Extracted verbatim from ``repro.cluster.topology._build_pgs`` — same rng
-stream, same tie-breaks — so a cluster built with the default policy is
+The node draws of ``repro.cluster.topology._build_pgs`` — same rng
+stream, one permutation per PG — and the shared pick-to-disk step give
+the same disks, so a cluster built with the default policy is
 byte-identical to the pre-policy layout (pinned by
 ``results/expected_all_300.json.gz``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import numpy as np
 
-from repro.cluster.placement.base import least_loaded_disk, rotated
-from repro.cluster.topology import ClusterConfig, PlacementGroup
+from repro.cluster.topology import ClusterConfig
 
 
 class FlatRandomPolicy:
@@ -27,14 +27,11 @@ class FlatRandomPolicy:
 
     name = "flat_random"
 
-    def build_pgs(self, config: ClusterConfig) -> Iterable[PlacementGroup]:
-        import numpy as np
-
+    def node_picks(self, config: ClusterConfig) -> np.ndarray:
         rng = np.random.default_rng(config.pg_seed)
-        n = config.n
-        picks = [0] * config.n_nodes
+        # Rows are copied out: a list of slices would keep every PG's
+        # whole n_nodes permutation alive.
+        picks = np.empty((config.n_pgs, config.n), dtype=np.int64)
         for p in range(config.n_pgs):
-            nodes = rng.permutation(config.n_nodes)[:n]
-            disks = [least_loaded_disk(config, int(node), picks)
-                     for node in nodes]
-            yield PlacementGroup(p, rotated(disks, p, n))
+            picks[p] = rng.permutation(config.n_nodes)[:config.n]
+        return picks

@@ -20,10 +20,9 @@ the code's erasure budget.
 
 from __future__ import annotations
 
-from typing import Iterable
+import numpy as np
 
-from repro.cluster.placement.base import least_loaded_disk, rotated
-from repro.cluster.topology import ClusterConfig, PlacementGroup
+from repro.cluster.topology import ClusterConfig
 
 
 class RackAwarePolicy:
@@ -31,13 +30,11 @@ class RackAwarePolicy:
 
     name = "rack_aware"
 
-    def build_pgs(self, config: ClusterConfig) -> Iterable[PlacementGroup]:
-        import numpy as np
-
+    def node_picks(self, config: ClusterConfig) -> np.ndarray:
         rng = np.random.default_rng(config.pg_seed)
         n = config.n
-        # Chunks placed per node: it orders a rack's nodes below, and it
-        # is the per-node pick count ``least_loaded_disk`` keeps.
+        picks = np.empty((config.n_pgs, n), dtype=np.int64)
+        # Chunks placed per node: it orders a rack's nodes below.
         node_load = [0] * config.n_nodes
         rack_load = [0] * config.n_racks
         rack_nodes = [list(config.nodes_in_rack(r))
@@ -56,7 +53,7 @@ class RackAwarePolicy:
             tiebreak = rng.permutation(config.n_racks).tolist()
             order = [r for _, _, r in sorted(
                 zip(rack_load, tiebreak, range(config.n_racks)))]
-            disks: list[int] = []
+            picked: list[int] = []
             remaining = n
             for rack in order:
                 if remaining <= 0:
@@ -69,11 +66,13 @@ class RackAwarePolicy:
                 chosen = sorted(zip([node_load[x] for x in nodes],
                                     node_tiebreak, nodes))[:take]
                 for _, _, node in chosen:
-                    disks.append(least_loaded_disk(config, node, node_load))
+                    picked.append(node)
+                    node_load[node] += 1
                 rack_load[rack] += take
                 remaining -= take
             if remaining > 0:
                 raise ValueError(
                     f"rack_aware cannot place a {n}-wide stripe on "
                     f"{config.n_nodes} nodes across {config.n_racks} racks")
-            yield PlacementGroup(p, rotated(disks, p, n))
+            picks[p] = picked
+        return picks

@@ -19,7 +19,9 @@ model.
 *Which* disks form a PG is delegated to a pluggable
 :mod:`repro.cluster.placement` policy named by ``ClusterConfig.placement``;
 the default ``flat_random`` policy reproduces the historical randomised
-builder byte-for-byte.
+builder byte-for-byte.  :class:`Cluster` wraps the placement's disk
+array into :class:`PlacementGroup` objects for RCStor; the fleet
+durability engine reads the array itself.
 """
 
 from __future__ import annotations
@@ -164,16 +166,15 @@ class Cluster:
     """The static cluster: config plus the PG map."""
 
     config: ClusterConfig
-    pgs: list[PlacementGroup] = field(default_factory=list)
+    pgs: list[PlacementGroup] = field(init=False)
 
     def __post_init__(self):
-        if not self.pgs:
-            # Deferred import: the placement package consumes this
-            # module's ClusterConfig / PlacementGroup types.
-            from repro.cluster.placement import get_policy
+        # Deferred import: the placement package consumes this
+        # module's ClusterConfig type.
+        from repro.cluster.placement import pg_disks
 
-            policy = get_policy(self.config.placement)
-            self.pgs = list(policy.build_pgs(self.config))
+        self.pgs = [PlacementGroup(p, tuple(disks)) for p, disks
+                    in enumerate(pg_disks(self.config).tolist())]
         self._pgs_of_disk: dict[int, list[PlacementGroup]] = {}
         for pg in self.pgs:
             for disk in pg.disk_ids:

@@ -46,6 +46,14 @@ to one scalar draw per disk), and a disk that outlives the trial costs
 no object.  So a trial's ``engine.events_scheduled`` counts the timers
 that fire, not every wear-out of the fleet, and the queues are empty
 when it returns.
+
+A trial drops its fleet when it returns.  Its callbacks name each other,
+and that cycle would hold the :class:`FleetSim` (the whole topology)
+until a full collection; the trial unbinds them once the run ends, so
+reference counting frees a fleet as soon as its caller lets it go.  The
+topology itself is built from the placement's ``(n_pgs, n)`` disk array
+(:func:`~repro.cluster.placement.pg_disks`) with sorts and counts, not
+PG by PG.
 """
 
 from __future__ import annotations
@@ -57,7 +65,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.cluster.topology import Cluster, ClusterConfig
+from repro.cluster.placement import pg_disks
+from repro.cluster.topology import ClusterConfig
 from repro.faults import FaultEvent, FaultPlan
 from repro.reliability.markov import HOURS_PER_YEAR
 from repro.sim import Environment
@@ -189,6 +198,12 @@ def independent_pgs(n_groups: int, group_size: int) -> list[tuple[int, ...]]:
             for g in range(n_groups)]
 
 
+def _runs(values: list, counts: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """``values`` cut into consecutive runs of ``counts[i]`` items."""
+    ends = np.cumsum(counts).tolist()
+    return tuple(tuple(values[a:b]) for a, b in zip([0] + ends[:-1], ends))
+
+
 class _Trial:
     """Mutable per-trial state (arrays indexed by disk id)."""
 
@@ -202,7 +217,7 @@ class _Trial:
 
     def __init__(self, n_disks: int):
         self.failed = bytearray(n_disks)
-        self.latent = bytearray(n_disks)
+        self.latent: set[int] = set()   # disks holding a hidden error
         self.disk_gen = [0] * n_disks   # invalidates stale wear-out timers
         self.lse_gen = [0] * n_disks    # invalidates stale scrub timers
         self.scrub_phase: np.ndarray | None = None
@@ -235,53 +250,74 @@ class FleetSim:
     The topology (placement groups, rack map) is fixed at construction;
     :meth:`run_trial` takes the stochastic :class:`FleetParams` and a
     seed, so one ``FleetSim`` serves a whole repair-speed sweep.
+    ``pgs`` holds one row of disk ids per placement group, every row of
+    one width: the ``(n_pgs, n)`` array
+    :func:`~repro.cluster.placement.pg_disks` returns, or a list of
+    tuples.
     """
 
-    def __init__(self, pgs: Sequence[Sequence[int]], n_disks: int,
-                 config: ClusterConfig | None = None, obs=None):
+    def __init__(self, pgs: Sequence[Sequence[int]] | np.ndarray,
+                 n_disks: int, config: ClusterConfig | None = None,
+                 obs=None):
         if n_disks < 2:
             raise ValueError("need at least two disks")
         self.n_disks = n_disks
         self.config = config
         self.obs = obs
-        self.pg_members: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(d) for d in pg) for pg in pgs)
-        if not self.pg_members:
+        members = np.asarray(pgs, dtype=np.int64)
+        if members.ndim != 2 or not len(members):
             raise ValueError("need at least one placement group")
-        pgs_of_disk: list[list[int]] = [[] for _ in range(n_disks)]
-        for p, members in enumerate(self.pg_members):
-            for d in members:
-                if not 0 <= d < n_disks:
-                    raise ValueError(f"disk {d} outside the fleet")
-                ps = pgs_of_disk[d]
-                if ps and ps[-1] == p:
-                    # One failure would count twice against the PG.
-                    raise ValueError(f"PG {p} names disk {d} twice")
-                ps.append(p)
-        self.pgs_of_disk = tuple(tuple(ps) for ps in pgs_of_disk)
+        width = members.shape[1]
+        flat = members.ravel()
+        # Each disk's slots, in PG order: the sort is stable.
+        slots = np.argsort(flat, kind="stable")
+        pg_of_slot = slots // width
+        disk_of_slot = flat[slots]
+        # A disk a PG names twice sits in two adjacent slots of that PG;
+        # one failure of it would count twice against the PG.
+        repeats = slots[1:][(disk_of_slot[1:] == disk_of_slot[:-1])
+                            & (pg_of_slot[1:] == pg_of_slot[:-1])]
+        outside = np.flatnonzero((flat < 0) | (flat >= n_disks))
+        if repeats.size or outside.size:
+            first = int(np.concatenate([repeats, outside]).min())
+            d = int(flat[first])
+            if not 0 <= d < n_disks:
+                raise ValueError(f"disk {d} outside the fleet")
+            raise ValueError(f"PG {first // width} names disk {d} twice")
+        # Ids go through object arrays so that every slot naming a disk
+        # or a PG shares one int object: a ``tolist`` per slot would make
+        # ~143k ints at 10,240 disks, ~4 MiB held as long as the fleet.
+        self.pg_members: tuple[tuple[int, ...], ...] = tuple(map(
+            tuple, np.arange(n_disks, dtype=object)[members].tolist()))
+        counts = np.bincount(flat, minlength=n_disks)
+        self.pgs_of_disk: tuple[tuple[int, ...], ...] = _runs(
+            np.arange(len(members), dtype=object)[pg_of_slot].tolist(),
+            counts)
         #: P(a rebuild's read pass touches a given helper's latent error):
         #: the read covers the one damaged PG out of the pg-count PGs the
         #: helper's data is spread over.
-        self.surface_prob = tuple(
-            1.0 / len(ps) if ps else 0.0 for ps in pgs_of_disk)
+        self.surface_prob = tuple(np.divide(
+            1.0, counts, out=np.zeros(n_disks), where=counts > 0).tolist())
         #: Racks a disk's rebuild traffic can touch: its own plus every
         #: rack of every PG peer (None without a rack map).
         self.disk_racks: tuple[tuple[int, ...], ...] | None = None
         if config is not None and config.n_racks > 1:
-            rack_of = [config.rack_of(config.node_of(d))
-                       for d in range(n_disks)]
-            spans = [{rack_of[d] for d in members}
-                     for members in self.pg_members]
-            self.disk_racks = tuple(
-                tuple(sorted(set().union(*[spans[p] for p in ps])))
-                for ps in pgs_of_disk)
+            rack_of = (np.arange(n_disks) // config.disks_per_node
+                       // config.rack_size)
+            # touched[d, r]: disk d shares a PG with a disk in rack r.
+            touched = np.zeros((n_disks, config.n_racks), dtype=bool)
+            touched[members[:, :, None], rack_of[members][:, None, :]] = True
+            disks, racks = np.nonzero(touched)
+            self.disk_racks = _runs(
+                racks.tolist(), np.bincount(disks, minlength=n_disks))
 
     @classmethod
     def from_cluster(cls, config: ClusterConfig, obs=None) -> "FleetSim":
-        """Enumerate the fleet's PGs with the config's placement policy."""
-        cluster = Cluster(config)
-        return cls([pg.disk_ids for pg in cluster.pgs], config.n_disks,
-                   config=config, obs=obs)
+        """The fleet of ``config``'s placement groups, placed by its
+        placement policy (the disk array a
+        :class:`~repro.cluster.topology.Cluster` wraps)."""
+        return cls(pg_disks(config), config.n_disks, config=config,
+                   obs=obs)
 
     @property
     def n_pgs(self) -> int:
@@ -346,8 +382,8 @@ class FleetSim:
                 return
             st.failed[d] = 1
             st.disk_gen[d] += 1
-            if st.latent[d]:        # dies with its hidden errors
-                st.latent[d] = 0
+            if d in st.latent:      # dies with its hidden errors
+                st.latent.discard(d)
                 st.lse_gen[d] += 1
             for p in self.pgs_of_disk[d]:
                 s = st.damaged.get(p)
@@ -443,22 +479,26 @@ class FleetSim:
                 if s is None or d not in s:
                     continue        # PG renewed by a loss meanwhile
                 lost = False
-                for h in self.pg_members[p]:
-                    # The rebuild's read pass may trip over a helper's
-                    # hidden latent error: one more effective erasure at
-                    # the worst moment — or, survived, a free repair.
-                    if h == d or st.failed[h] or not st.latent[h]:
-                        continue
-                    if rng.random() >= self.surface_prob[h]:
-                        continue
-                    st.latent[h] = 0
-                    st.lse_gen[h] += 1
-                    st.lse_surfaced += 1
-                    if rng.random() < q_at(len(s)):
-                        record_loss(p, len(s) + 1)
-                        st.damaged.pop(p)
-                        lost = True
-                        break
+                members = self.pg_members[p]
+                # The rebuild's read pass may trip over a helper's hidden
+                # latent error: one more effective erasure at the worst
+                # moment — or, survived, a free repair.  Only latent,
+                # unfailed helpers draw, so a PG with no latent member
+                # skips the scan.
+                if not st.latent.isdisjoint(members):
+                    for h in members:
+                        if h == d or st.failed[h] or h not in st.latent:
+                            continue
+                        if rng.random() >= self.surface_prob[h]:
+                            continue
+                        st.latent.discard(h)
+                        st.lse_gen[h] += 1
+                        st.lse_surfaced += 1
+                        if rng.random() < q_at(len(s)):
+                            record_loss(p, len(s) + 1)
+                            st.damaged.pop(p)
+                            lost = True
+                            break
                 if not lost:
                     s.discard(d)
                     if not s:
@@ -483,8 +523,8 @@ class FleetSim:
 
         def discover(event) -> None:
             d, gen = event.value
-            if st.lse_gen[d] == gen and st.latent[d]:
-                st.latent[d] = 0
+            if st.lse_gen[d] == gen and d in st.latent:
+                st.latent.discard(d)
                 st.lse_gen[d] += 1
                 st.lse_scrubbed += 1
                 if timeline is not None:
@@ -496,8 +536,8 @@ class FleetSim:
         def arrive(_event) -> None:
             st.lse_arrivals += 1
             d = int(rng.integers(self.n_disks))
-            if not st.failed[d] and not st.latent[d]:
-                st.latent[d] = 1
+            if not st.failed[d] and d not in st.latent:
+                st.latent.add(d)
                 schedule_scrub_discovery(d)
             schedule_next_lse()
 
@@ -581,7 +621,14 @@ class FleetSim:
             schedule_next_outage()
         if params.node_afr > 0:
             schedule_next_node_crash()
-        env.run(until=horizon)
+        try:
+            env.run(until=horizon)
+        finally:
+            # Each cycle of callbacks naming each other runs through one
+            # of these names, and every cycle holds ``self``.
+            fail_disk = start_rebuild = finish_rebuild = None
+            schedule_next_lse = schedule_next_burst = None
+            schedule_next_outage = schedule_next_node_crash = None
 
         return TrialResult(
             years=params.years,

@@ -27,13 +27,6 @@ def not_a_generator(obs, tasks):
         obs.metrics.counter("tasks.seen").inc()
 
 
-def tracer_loop(env, obs, tasks):
-    # Span bookkeeping, not a registry lookup: out of scope.
-    for task in tasks:
-        yield env.timeout(task.cost)
-        obs.tracer.counter("spans.seen")
-
-
 def lookup_before_loop(env, metrics, tasks):
     gauge = metrics.gauge("queue.depth")
     while tasks:

@@ -203,8 +203,7 @@ def test_obs601_hot_loop_registry_lookup():
     source, violations = lint_fixture("obs601", layer="cluster",
                                       select=["OBS601"])
     # The two in-loop registry lookups are flagged; the hoisted-handle,
-    # non-generator, tracer-receiver, before-loop and suppressed variants
-    # all stay clean.
+    # non-generator, before-loop and suppressed variants all stay clean.
     expected = (lines_containing(source, 'counter("tasks.done")')[:1]
                 + lines_containing(source, 'histogram("drain.latency")'))
     assert flagged_lines(violations, "OBS601") == sorted(expected)

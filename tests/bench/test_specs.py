@@ -72,9 +72,11 @@ def test_reliability_spec_bodies_run():
 
     assert reliability._markov_sweep() > 0
     assert reliability._fleet_topology() == reliability._CONFIG.n_pgs
+    assert reliability._fleet_topology_flat() \
+        == reliability._FLAT_CONFIG.n_pgs == 5_120
     assert reliability._fleet_trial() >= 0
     specs = reliability.specs()
-    assert [s.group for s in specs] == ["reliability"] * 3
+    assert [s.group for s in specs] == ["reliability"] * 4
     assert all(s.units > 1 for s in specs)
 
 

@@ -1,17 +1,16 @@
 """Placement-policy tests: registry, flat_random invariants, rack_aware
-span packing, copyset pool reuse."""
+span packing, copyset pool reuse, and the shared pick-to-disk step
+against the per-PG loop it replaced."""
 
-import re
 from collections import Counter
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig, get_policy, policy_names
-from repro.cluster.placement import POLICIES
-from repro.cluster.placement.base import least_loaded_disk, rotated
+from repro.cluster.placement import POLICIES, pg_disks
 
 #: 32 nodes in 8 racks of 4 — the placement-matrix testbed shape.
 TIERED = dict(n_nodes=32, n_racks=8, nodes_per_rack=4)
@@ -172,22 +171,15 @@ def test_copyset_rejects_tiny_clusters():
 
 
 # ----------------------------------------------------------------------
-# base helpers
+# The shared step against the per-PG loop it replaced
 # ----------------------------------------------------------------------
-def test_rotated_covers_all_phases():
-    disks = tuple(range(14))
-    assert rotated(disks, 0, 14) == disks
-    seen = {rotated(disks, pg, 14)[0] for pg in range(14)}
-    assert seen == set(range(14))
-
-
-def test_least_loaded_disk_prefers_cold_disks():
-    config = ClusterConfig()
-    load = Counter()
-    first = least_loaded_disk(config, 3, load)
-    assert config.node_of(first) == 3
-    second = least_loaded_disk(config, 3, load)
-    assert second != first  # the first pick is now warmer
+def least_loaded_disk(config: ClusterConfig, node: int,
+                      picks: list[int]) -> int:
+    """The reference round robin: the node's pick count ``picks[node]``
+    names its disk, and the pick is counted in."""
+    count = picks[node]
+    picks[node] = count + 1
+    return node * config.disks_per_node + count % config.disks_per_node
 
 
 def min_scan_pick(config: ClusterConfig, node: int, load: list[int]) -> int:
@@ -200,24 +192,38 @@ def min_scan_pick(config: ClusterConfig, node: int, load: list[int]) -> int:
     return best
 
 
-def pgs_by_min_scan(config: ClusterConfig) -> list[tuple[int, ...]]:
-    """``config``'s PGs with every pick made by :func:`min_scan_pick`.
-    The policy's per-node pick counts are still kept, since
-    ``rack_aware`` orders nodes by them."""
-    load = [0] * config.n_disks
+def rotated(disks: list[int], pg_id: int, n: int) -> tuple[int, ...]:
+    """The reference role rotation: shift the disk order by ``pg_id % n``."""
+    rotation = pg_id % n
+    return tuple(disks[rotation:] + disks[:rotation])
 
-    def pick(config, node, picks):
-        picks[node] += 1
-        return min_scan_pick(config, node, load)
 
-    with mock.patch.multiple("repro.cluster.placement.flat",
-                             least_loaded_disk=pick), \
-            mock.patch.multiple("repro.cluster.placement.rack_aware",
-                                least_loaded_disk=pick), \
-            mock.patch.multiple("repro.cluster.placement.copyset",
-                                least_loaded_disk=pick):
-        return [pg.disk_ids for pg in get_policy(
-            config.placement).build_pgs(config)]
+def pgs_by_loop(config: ClusterConfig, nodes: np.ndarray,
+                pick=least_loaded_disk) -> list[tuple[int, ...]]:
+    """Each PG's disks built one pick at a time from the policy's node
+    picks, then rotated: the per-PG construction the shared numpy step
+    replaced.  ``pick`` is :func:`least_loaded_disk` (per-node counts)
+    or :func:`min_scan_pick` (per-disk loads)."""
+    state = [0] * (config.n_nodes if pick is least_loaded_disk
+                   else config.n_disks)
+    return [rotated([pick(config, node, state) for node in row], p, config.n)
+            for p, row in enumerate(nodes.tolist())]
+
+
+def test_rotated_covers_all_phases():
+    disks = list(range(14))
+    assert rotated(disks, 0, 14) == tuple(disks)
+    seen = {rotated(disks, pg, 14)[0] for pg in range(14)}
+    assert seen == set(range(14))
+
+
+def test_least_loaded_disk_prefers_cold_disks():
+    config = ClusterConfig()
+    load = Counter()
+    first = least_loaded_disk(config, 3, load)
+    assert config.node_of(first) == 3
+    second = least_loaded_disk(config, 3, load)
+    assert second != first  # the first pick is now warmer
 
 
 @st.composite
@@ -236,13 +242,18 @@ def cluster_shapes(draw) -> ClusterConfig:
 @settings(max_examples=60, deadline=None)
 @given(config=cluster_shapes())
 def test_round_robin_pick_equals_the_min_scan(config):
-    """Every pick of every policy goes through ``least_loaded_disk``, so
-    its round robin over a node's disks picks what scanning for the
-    least-loaded disk picks: the same PGs, for every policy and shape."""
+    """For every policy and shape, the shared step gives the PGs the
+    per-PG loop gives: each node pick takes the node's least-loaded
+    disk, one call at a time, and each row is then rotated.  The loop
+    gives the same PGs whether it scans the node's loads or counts its
+    picks round robin."""
     try:
-        want = pgs_by_min_scan(config)
+        nodes = get_policy(config.placement).node_picks(config)
     except ValueError as exc:       # rack_aware: the stripe cannot fit
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            list(get_policy(config.placement).build_pgs(config))
+        assert config.placement == "rack_aware"
+        assert "cannot place" in str(exc)
         return
-    assert [pg.disk_ids for pg in Cluster(config).pgs] == want
+    assert nodes.shape == (config.n_pgs, config.n)
+    want = pgs_by_loop(config, nodes, min_scan_pick)
+    assert pgs_by_loop(config, nodes) == want
+    assert [tuple(row) for row in pg_disks(config).tolist()] == want

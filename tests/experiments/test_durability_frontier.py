@@ -1,5 +1,8 @@
 """durability-frontier: scenario grid, seed groups, tiny end-to-end
-computes, and the rendered table."""
+computes, the fleet's lifetime, and the rendered table."""
+
+import gc
+import weakref
 
 from repro.experiments.durability_frontier import (
     POLICIES,
@@ -10,6 +13,7 @@ from repro.experiments.durability_frontier import (
     render,
     scenarios,
 )
+from repro.reliability import FleetSim
 from repro.runner import (
     ExperimentResult,
     RunOptions,
@@ -82,6 +86,30 @@ def test_compute_frontier_is_deterministic():
     # MDS shortcut.
     q = a["meta"]["fatal_probabilities"]
     assert q[-1] == 1.0 and any(0.0 < x < 1.0 for x in q)
+
+
+def test_compute_frontier_frees_its_fleet_on_return(monkeypatch):
+    """The fleet a unit builds dies when the unit returns, by reference
+    counting alone: nothing the trials leave behind holds it until the
+    next full collection."""
+    built = []
+    from_cluster = FleetSim.from_cluster.__func__
+
+    def recording(cls, config, obs=None):
+        sim = from_cluster(cls, config, obs=obs)
+        built.append(weakref.ref(sim))
+        return sim
+
+    monkeypatch.setattr(FleetSim, "from_cluster", classmethod(recording))
+    gc.collect()
+    gc.disable()
+    try:
+        compute_frontier("Geo-4M", "flat_random", rep=0, speedups=(1.0,),
+                         seed=5, **TINY)
+        alive = [ref() is not None for ref in built]
+    finally:
+        gc.enable()
+    assert alive == [False]
 
 
 def test_render_groups_grid_points(tmp_path):
