@@ -1,14 +1,14 @@
 """Ablation benches: the design choices DESIGN.md calls out."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import ablations
-from repro.experiments.common import format_table, run_at_seed
+from repro.experiments.common import format_table
 
 
 def test_ablation_partitioning_and_frontcut(benchmark):
     text = benchmark.pedantic(
-        lambda: ablations.render(run_at_seed(ablations.scenarios("W1"))),
+        lambda: ablations.render(run(ablations.scenarios("W1"))),
         rounds=1, iterations=1)
     emit("Ablations: Algorithm 1, front cut, ECPipe", text)
     assert "Algorithm 1" in text

@@ -1,9 +1,8 @@
 """§6.3 breakdown — small-size-bucket shares and average chunk sizes."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import breakdown
-from repro.experiments.common import run_at_seed
 from repro.runner import typed_rows
 
 MB = 1 << 20
@@ -11,8 +10,8 @@ MB = 1 << 20
 
 def test_breakdown_small_buckets(benchmark):
     def both():
-        return (run_at_seed(breakdown.scenarios("W1", n_objects=10_000)),
-                run_at_seed(breakdown.scenarios("W2", n_objects=20_000)))
+        return (run(breakdown.scenarios("W1", n_objects=10_000)),
+                run(breakdown.scenarios("W2", n_objects=20_000)))
 
     w1, w2 = benchmark.pedantic(both, rounds=1, iterations=1)
     emit("§6.3 breakdown",

@@ -1,14 +1,13 @@
 """§2.1 quantified: recovery speed and code structure vs durability."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import durability, tradeoff
-from repro.experiments.common import run_at_seed
 
 
 def test_durability(benchmark):
     results = benchmark.pedantic(
-        lambda: run_at_seed(durability.scenarios(n_objects=2500)),
+        lambda: run(durability.scenarios(n_objects=2500)),
         rounds=1, iterations=1)
     emit("Durability (MTTDL from measured recovery times, 2% AFR)",
          durability.render(results))

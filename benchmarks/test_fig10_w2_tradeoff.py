@@ -1,14 +1,13 @@
 """Figure 10 — W2 (SSD) recovery time vs degraded read time, all schemes."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import tradeoff
-from repro.experiments.common import run_at_seed
 
 
 def test_fig10_w2_tradeoff(benchmark):
     results = benchmark.pedantic(
-        lambda: run_at_seed(tradeoff.scenarios("W2", n_objects=25_000,
+        lambda: run(tradeoff.scenarios("W2", n_objects=25_000,
                                                n_requests=10)),
         rounds=1, iterations=1)
     emit("Figure 10: W2 recovery vs degraded read (idle + busy)",

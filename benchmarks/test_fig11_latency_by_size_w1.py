@@ -1,9 +1,9 @@
 """Figure 11 — W1 degraded read latency by object size (p5/p50/p95)."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import fig11_fig12
-from repro.experiments.common import run_at_seed, with_params
+from repro.experiments.common import with_params
 from repro.runner import typed_rows
 
 MB = 1 << 20
@@ -12,7 +12,7 @@ MB = 1 << 20
 def test_fig11_latency_by_size_w1(benchmark):
     units = with_params(fig11_fig12.scenarios("W1", n_objects=1200),
                         n_probes=16)
-    results = benchmark.pedantic(lambda: run_at_seed(units),
+    results = benchmark.pedantic(lambda: run(units),
                                  rounds=1, iterations=1)
     emit("Figure 11: W1 degraded read latency by object size",
          fig11_fig12.render(results))

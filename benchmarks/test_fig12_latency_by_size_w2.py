@@ -1,9 +1,9 @@
 """Figure 12 — W2 degraded read latency by object size (p5/p50/p95)."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import fig11_fig12
-from repro.experiments.common import run_at_seed, with_params
+from repro.experiments.common import with_params
 from repro.runner import typed_rows
 
 KB = 1 << 10
@@ -12,7 +12,7 @@ KB = 1 << 10
 def test_fig12_latency_by_size_w2(benchmark):
     units = with_params(fig11_fig12.scenarios("W2", n_objects=8000),
                         n_probes=16)
-    results = benchmark.pedantic(lambda: run_at_seed(units),
+    results = benchmark.pedantic(lambda: run(units),
                                  rounds=1, iterations=1)
     emit("Figure 12: W2 degraded read latency by object size",
          fig11_fig12.render(results))

@@ -1,15 +1,15 @@
 """Figure 13 — pipelining benefit at 1/2/4 Gbps client links."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import fig13
-from repro.experiments.common import run_at_seed, with_params
+from repro.experiments.common import with_params
 from repro.runner import typed_rows
 
 
 def test_fig13_client_bandwidth(benchmark):
     units = with_params(fig13.scenarios(n_objects=1500), n_requests=20)
-    results = benchmark.pedantic(lambda: run_at_seed(units),
+    results = benchmark.pedantic(lambda: run(units),
                                  rounds=1, iterations=1)
     emit("Figure 13: Geo-4M timing by client bandwidth", fig13.render(results))
     rows = typed_rows(results, fig13.BandwidthRow)

@@ -1,16 +1,15 @@
 """Figure 14 — average chunk size under varying q (peak at q = 2-3)."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import fig14
-from repro.experiments.common import run_at_seed
 from repro.runner import typed_rows
 
 
 def test_fig14_vary_q(benchmark):
     def both():
-        return (run_at_seed(fig14.scenarios("W1", n_objects=4000)),
-                run_at_seed(fig14.scenarios("W2", n_objects=15_000)))
+        return (run(fig14.scenarios("W1", n_objects=4000)),
+                run(fig14.scenarios("W2", n_objects=15_000)))
 
     w1, w2 = benchmark.pedantic(both, rounds=1, iterations=1)
     emit("Figure 14: average chunk size vs q",

@@ -1,14 +1,16 @@
 """Figures 3 and 8 — pipelining regimes rendered from the model."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import fig3_fig8
+from repro.runner import typed_rows
 
 
 def test_fig3_fig8_pipelining(benchmark):
-    cases = benchmark.pedantic(fig3_fig8.run, rounds=1, iterations=1)
-    emit("Figures 3/8: pipelining regimes", fig3_fig8.to_text(cases))
-    by_name = {c.name: c for c in cases}
+    results = benchmark.pedantic(lambda: run(fig3_fig8.scenarios()),
+                                 rounds=1, iterations=1)
+    emit("Figures 3/8: pipelining regimes", fig3_fig8.render(results))
+    by_name = {c.name: c for c in typed_rows(results, fig3_fig8.PipelineCase)}
     one_chunk = by_name["Fig3: regenerating, one chunk"]
     fine = by_name["Fig3: RS (fine-grained)"]
     assert one_chunk.saving == 0.0  # nothing overlaps with a single chunk

@@ -1,14 +1,13 @@
 """Figure 9 — W1 (HDD) recovery time vs degraded read time, all schemes."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import tradeoff
-from repro.experiments.common import run_at_seed
 
 
 def test_fig9_w1_tradeoff(benchmark):
     results = benchmark.pedantic(
-        lambda: run_at_seed(tradeoff.scenarios("W1", n_objects=2500,
+        lambda: run(tradeoff.scenarios("W1", n_objects=2500,
                                                n_requests=15)),
         rounds=1, iterations=1)
     emit("Figure 9: W1 recovery vs degraded read (idle + busy)",

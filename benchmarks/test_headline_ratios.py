@@ -1,9 +1,8 @@
 """§6.2 headline — 1.85x RS / 1.30x LRC recovery, degraded ≈ normal reads."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import headline, tradeoff
-from repro.experiments.common import run_at_seed
 
 
 def test_headline_ratios(benchmark):
@@ -13,7 +12,7 @@ def test_headline_ratios(benchmark):
     w2_units = [u for u in headline.scenarios(2500)
                 if u.name.startswith("w2/")]
     w1, w2 = benchmark.pedantic(
-        lambda: (run_at_seed(w1_units), run_at_seed(w2_units)),
+        lambda: (run(w1_units), run(w2_units)),
         rounds=1, iterations=1)
     emit("§6.2 headline claims", headline.render(w1 + w2))
     result = headline.from_tradeoffs(tradeoff.from_results(w1),

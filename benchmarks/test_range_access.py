@@ -1,14 +1,14 @@
 """§6.3 — degraded range reads (random offset, uniform length)."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import range_access
-from repro.experiments.common import run_at_seed, with_params
+from repro.experiments.common import with_params
 
 
 def test_range_access(benchmark):
     units = with_params(range_access.scenarios(n_objects=1200), n_requests=25)
-    results = benchmark.pedantic(lambda: run_at_seed(units),
+    results = benchmark.pedantic(lambda: run(units),
                                  rounds=1, iterations=1)
     emit("§6.3 range degraded reads (W1)", range_access.render(results))
     by_scheme = {r.scheme: r for r in range_access.from_results(results)}

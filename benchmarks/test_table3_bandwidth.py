@@ -1,17 +1,16 @@
 """Table 3 — disk and network bandwidth during recovery (W1 and W2)."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import table3, tradeoff
-from repro.experiments.common import run_at_seed
 
 MB = 1 << 20
 
 
 def test_table3_bandwidth(benchmark):
     def both():
-        w1 = run_at_seed(table3.scenarios("W1", n_objects=2500))
-        w2 = run_at_seed(table3.scenarios(
+        w1 = run(table3.scenarios("W1", n_objects=2500))
+        w2 = run(table3.scenarios(
             "W2", n_objects=20_000,
             schemes=["Geo-128K", "Geo-256K", "Stripe", "Stripe-Max", "RS",
                      "LRC", "HH", "ECPipe"]))

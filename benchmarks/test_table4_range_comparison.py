@@ -1,15 +1,14 @@
 """Table 4 — range degraded reads comparison across layouts."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import table4
-from repro.experiments.common import run_at_seed
 from repro.runner import typed_rows
 
 
 def test_table4_range_comparison(benchmark):
     results = benchmark.pedantic(
-        lambda: run_at_seed(table4.scenarios(n_objects=500)),
+        lambda: run(table4.scenarios(n_objects=500)),
         rounds=1, iterations=1)
     emit("Table 4: range degraded reads", table4.render(results))
     by_layout = {r.layout: r

@@ -1,15 +1,15 @@
 """Table 5 — layout comparison summary."""
 
-from paper_report import emit
+from paper_report import emit, run
 
 from repro.experiments import table5
-from repro.experiments.common import run_at_seed, with_params
+from repro.experiments.common import with_params
 from repro.runner import typed_rows
 
 
 def test_table5_layout_summary(benchmark):
     units = with_params(table5.scenarios(n_objects=1200), n_requests=12)
-    results = benchmark.pedantic(lambda: run_at_seed(units),
+    results = benchmark.pedantic(lambda: run(units),
                                  rounds=1, iterations=1)
     emit("Table 5: layout comparison", table5.render(results))
     by_layout = {r.layout: r

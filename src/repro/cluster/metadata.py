@@ -174,8 +174,9 @@ class PGIndex:
 def build_indexes(catalog) -> dict[int, PGIndex]:
     """Construct every PG's index from an ingested catalog.
 
-    Chunk slots are assigned in ingest order per (level) bucket, exactly as
-    :class:`repro.core.buckets.Bucket` allocates them.
+    Chunk slots are assigned in ingest order per (level) bucket: each
+    chunk takes the next slot of its (PG, role, level) bucket, and a
+    front cut the next byte offset of its (PG, role) small-size-bucket.
     """
     from repro.core.layouts import REGENERATING_KIND
 

@@ -2,8 +2,6 @@
 
 * :mod:`repro.core.partitioning` — Algorithm 1 (two-pass scan) and the
   front cut.
-* :mod:`repro.core.buckets` — fixed-chunk-size buckets and RS-coded
-  small-size-buckets.
 * :mod:`repro.core.layouts` — Geometric / Contiguous / Stripe / Stripe-Max
   data layouts (§3.2, §4), the objects the evaluation compares.
 * :mod:`repro.core.pipeline` — the repair/transfer pipelining model of
@@ -11,7 +9,6 @@
 * :mod:`repro.core.tuning` — (s0, q) parameter grid search (§4.4).
 """
 
-from repro.core.buckets import Bucket, SmallSizeBucket
 from repro.core.partitioning import ChunkSpec, GeometricPartitioner, Partition
 from repro.core.layouts import (
     ContiguousLayout,
@@ -25,8 +22,6 @@ from repro.core.layouts import (
 from repro.core.pipeline import PipelineStep, degraded_read_time, pipeline_timeline
 
 __all__ = [
-    "Bucket",
-    "SmallSizeBucket",
     "ChunkSpec",
     "GeometricPartitioner",
     "Partition",

@@ -14,11 +14,12 @@ exposes two layers:
 ``python -m repro.experiments`` wires these into the CLI through one
 ``EXPERIMENTS`` table (``__main__.py``): per CLI name, the module, its
 scenarios/render functions, the keywords the name fixes, the flags it
-reads, and whether it is an extension outside ``all``.  The test-suite,
-the paper-shape benches under ``benchmarks/`` and
-``results/make_snapshot.py`` run the same units in process at seed 0
-(:func:`~repro.experiments.common.run_at_seed`) and print them with
-``render``.
+reads, and whether it is an extension outside ``all``.  The test-suite
+and the paper-shape benches under ``benchmarks/`` run the same units in
+process through :func:`repro.runner.run_scenarios` at root seed 0 with
+the cache off, so each unit draws the seed the CLI derives for it at
+``--seed 0``.  ``results/snapshot.txt`` and ``results/seed_spread.txt``,
+which EXPERIMENTS.md quotes, are the text of CLI command lines.
 """
 
 from repro.experiments.common import (

@@ -57,6 +57,7 @@ EXPERIMENTS = {
     "table4": Experiment("table4", reads=N),
     "table5": Experiment("table5", reads=N),
     "fig2": Experiment("fig2"),
+    "fig3": Experiment("fig3_fig8"),
     "fig4": Experiment("fig4", scenarios="scenarios_with_calibration",
                        render="render_with_calibration"),
     "fig7": Experiment("fig7", reads=N),
@@ -125,6 +126,9 @@ POSITIVE = _number(float, lambda v: v > 0, "a number > 0")
 
 
 def _parser() -> argparse.ArgumentParser:
+    from repro.traffic import DEFAULT_TENANTS
+
+    n_presets = len(DEFAULT_TENANTS)
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
@@ -156,9 +160,12 @@ def _parser() -> argparse.ArgumentParser:
                              "comma-separated placement policies to sweep "
                              "instead of the experiment's default set "
                              "(flat_random,rack_aware,copyset)")
-    parser.add_argument("--fleet-disks", dest="n_disks", type=int,
+    # A fleet has 8-disk nodes and needs k + r = 14 of them.
+    parser.add_argument("--fleet-disks", dest="n_disks",
+                        type=_number(int, lambda v: v % 8 == 0 and v >= 112,
+                                     "a multiple of 8 >= 112"),
                         help="durability-frontier: fleet size in disks "
-                             "(default 10240; multiple of 8)")
+                             "(default 10240; multiple of 8, at least 112)")
     parser.add_argument("--fleet-years", dest="years", type=POSITIVE,
                         help="durability-frontier: simulated years per "
                              "Monte-Carlo trial (default 10)")
@@ -173,7 +180,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="traffic-frontier: comma-separated mean "
                              "arrival rates (requests/s) to sweep instead "
                              "of the default (40,160)")
-    parser.add_argument("--tenants", dest="n_tenants", type=int, metavar="N",
+    parser.add_argument("--tenants", dest="n_tenants", metavar="N",
+                        type=_number(int, lambda v: 1 <= v <= n_presets,
+                                     f"an integer in 1..{n_presets}"),
                         help="traffic-frontier: serve only the first N "
                              "tenant presets (shares renormalised; "
                              "default: all three)")

@@ -2,9 +2,10 @@
 
 Figure 4 is the paper's microbenchmark of Clay(10,4) repair on a single
 HDD; it pins this simulator's two free HDD constants (positioning cost and
-sequential bandwidth).  :func:`check` verifies the anchors and is run by
-the test-suite so that future model changes cannot silently drift away
-from the published curve.
+sequential bandwidth).  The CLI's ``fig4`` runs this module's unit beside
+the curve and prints one row per anchor; the test-suite asserts each
+row's :attr:`Anchor.ok`, so that future model changes cannot silently
+drift away from the published curve.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments import fig4
+from repro.experiments.common import format_table
 from repro.runner import ExperimentResult, Scenario, rows_of, scenario, typed_rows
 
 MB = 1 << 20
@@ -29,42 +31,18 @@ class Anchor:
         return abs(self.measured - self.paper) <= self.rel_tolerance * self.paper
 
 
-def anchors() -> list[Anchor]:
-    """Compute the calibration anchors against Figure 4."""
+def compute() -> dict:
+    """Scenario compute: the Figure 4 calibration anchors."""
     bw_4mb = fig4.recovery_bandwidth(4 * MB) / MB
     bw_256mb = fig4.recovery_bandwidth(256 * MB) / MB
     t_4mb = fig4.degraded_read_64mb(4 * MB) * 1000
     t_256mb = fig4.degraded_read_64mb(256 * MB) * 1000
-    return [
+    return {"rows": rows_of([
         Anchor("recovery bandwidth @4MB chunks (MB/s)", bw_4mb, 40.0, 0.35),
         Anchor("recovery bandwidth @256MB chunks (MB/s)", bw_256mb, 172.0, 0.15),
         Anchor("degraded read 64MB @4MB chunks (ms)", t_4mb, 700.0, 0.25),
         Anchor("degraded read 64MB @256MB chunks (ms)", t_256mb, 1320.0, 0.3),
-    ]
-
-
-def check() -> list[Anchor]:
-    """All anchors; raises AssertionError naming the first violated one."""
-    result = anchors()
-    for anchor in result:
-        assert anchor.ok, (f"calibration drift: {anchor.name} = "
-                           f"{anchor.measured:.1f}, paper {anchor.paper:.1f}")
-    return result
-
-
-def to_text(result: list[Anchor]) -> str:
-    """Render the result as a paper-style text table."""
-    from repro.experiments.common import format_table
-
-    return format_table(
-        ["Anchor", "Measured", "Paper", "Within tolerance"],
-        [[a.name, round(a.measured, 1), a.paper, "yes" if a.ok else "NO"]
-         for a in result])
-
-
-def compute() -> dict:
-    """Scenario compute: the Figure 4 calibration anchors."""
-    return {"rows": rows_of(anchors())}
+    ])}
 
 
 def scenarios() -> list[Scenario]:
@@ -72,4 +50,8 @@ def scenarios() -> list[Scenario]:
 
 
 def render(results: list[ExperimentResult]) -> str:
-    return to_text(typed_rows(results, Anchor))
+    """One row per anchor: measured, paper, and whether it is in tolerance."""
+    return format_table(
+        ["Anchor", "Measured", "Paper", "Within tolerance"],
+        [[a.name, round(a.measured, 1), a.paper, "yes" if a.ok else "NO"]
+         for a in typed_rows(results, Anchor)])

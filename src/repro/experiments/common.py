@@ -24,13 +24,7 @@ from repro.core import (
     StripeLayout,
     StripeMaxLayout,
 )
-from repro.runner import (
-    Capture,
-    ExperimentResult,
-    Scenario,
-    execute_unit,
-    repro_version,
-)
+from repro.runner import Scenario
 from repro.trace import W1, W2, RequestSampler, Workload
 
 KB = 1 << 10
@@ -204,21 +198,6 @@ def format_table(headers: list[str], rows: list[list]) -> str:
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def run_at_seed(units: list[Scenario],
-                seed: int = 0) -> list[ExperimentResult]:
-    """Run ``units`` in process, in order, each seeded with ``seed`` itself
-    rather than a seed derived from it per unit (as the CLI does), so
-    their provenance names no root seed.
-
-    The tests, the paper-shape benches and ``results/make_snapshot.py``
-    run every experiment this way, at seed 0;
-    ``results/seed_spread.py`` runs the W1 headline grid at other seeds.
-    """
-    capture, version = Capture(), repro_version()
-    return [execute_unit(u, seed if u.seeded else None, capture, None,
-                         version) for u in units]
 
 
 def with_params(units: list[Scenario], **params) -> list[Scenario]:

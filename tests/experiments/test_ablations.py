@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.disk import BACKGROUND
 from repro.experiments import ablations
-from repro.experiments.common import run_at_seed
+from repro.runner import RunOptions, run_scenarios
 
 
 def test_two_pass_beats_greedy_on_pipelining():
@@ -52,7 +52,8 @@ def test_ecpipe_model_rows():
 
 
 def test_combined_report_renders():
-    text = ablations.render(run_at_seed(ablations.scenarios("W1")))
+    text = ablations.render(run_scenarios(
+        ablations.scenarios("W1"), RunOptions(cache=False)).results)
     assert "Algorithm 1" in text
     assert "ECPipe" in text
 

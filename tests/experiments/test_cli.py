@@ -3,10 +3,12 @@
 import functools
 import gzip
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import repro.experiments
 from repro.experiments.__main__ import EXPERIMENTS, build, main
 from repro.runner import ExperimentResult
 
@@ -29,7 +31,7 @@ def _fixture(name: str):
 def test_experiment_registry_covers_the_paper():
     extensions = {name for name, e in EXPERIMENTS.items() if e.extension}
     expected = {"table1", "table2", "table3", "table4", "table5",
-                "fig2", "fig4", "fig7", "fig9", "fig10", "fig11", "fig12",
+                "fig2", "fig3", "fig4", "fig7", "fig9", "fig10", "fig11", "fig12",
                 "fig13", "fig14", "breakdown", "range", "headline",
                 "ablations", "durability", "chaos-tail", "chaos-recovery"}
     assert expected == set(EXPERIMENTS) - extensions
@@ -38,6 +40,21 @@ def test_experiment_registry_covers_the_paper():
     assert extensions == {"placement-matrix", "durability-frontier",
                           "traffic-frontier"}
     assert extensions <= set(EXPERIMENTS)
+
+
+def test_no_experiment_sits_outside_the_runner():
+    """Every module under repro.experiments is a CLI entry's module or
+    holds the compute function of a unit that some entry builds, so no
+    experiment is computed beside the runner."""
+    reached = set()
+    for name, exp in EXPERIMENTS.items():
+        reached.add(f"repro.experiments.{exp.module}")
+        _args, units, _sections = build([name])
+        reached.update(u.fn.partition(":")[0] for u in units)
+    modules = {f"repro.experiments.{m.name}"
+               for m in pkgutil.iter_modules(repro.experiments.__path__)}
+    assert modules - {"repro.experiments.common",
+                      "repro.experiments.__main__"} <= reached
 
 
 @pytest.mark.parametrize("argv, fixture", [
@@ -93,6 +110,10 @@ def test_all_renders_the_pinned_text_from_the_pinned_rows():
     ["durability-frontier", "--reps", "0"],
     ["durability-frontier", "--trials", "0"],
     ["durability-frontier", "--fleet-years", "0"],
+    ["durability-frontier", "--fleet-disks", "100"],   # not 8-disk nodes
+    ["durability-frontier", "--fleet-disks", "104"],   # 13 nodes < k + r
+    ["traffic-frontier", "--tenants", "0"],
+    ["traffic-frontier", "--tenants", "4"],            # three presets
     ["traffic-frontier", "--hedge-ms", "-5"],
     ["traffic-frontier", "--arrival-rate", "40,0"],
     ["traffic-frontier", "--arrival-rate", ","],

@@ -5,19 +5,24 @@ import pytest
 
 from repro.core import GeometricPartitioner
 from repro.experiments import (
-    breakdown, calibration, fig2, fig4, fig7, fig14, table1, table2)
-from repro.experiments.common import run_at_seed, sample_workload, setting_by_name
-from repro.runner import typed_rows
+    breakdown, calibration, fig2, fig3_fig8, fig4, fig7, fig14, table1, table2)
+from repro.experiments.common import sample_workload, setting_by_name
+from repro.runner import RunOptions, run_scenarios, typed_rows
 
 KB = 1 << 10
 MB = 1 << 20
+
+
+def run(units):
+    """The units' results as ``--seed 0 --no-cache`` computes them."""
+    return run_scenarios(units, RunOptions(cache=False)).results
 
 
 # ----------------------------------------------------------------------
 # Table 1
 # ----------------------------------------------------------------------
 def test_table1_matches_paper_exactly():
-    rows = {r.name: r for r in typed_rows(run_at_seed(table1.scenarios()),
+    rows = {r.name: r for r in typed_rows(run(table1.scenarios()),
                                           table1.CodeRow)}
     rs, lrc, clay = rows["RS(10,4)"], rows["LRC(10,2,2)"], rows["Clay(10,4)"]
     assert rs.is_mds and clay.is_mds and not lrc.is_mds
@@ -30,7 +35,7 @@ def test_table1_matches_paper_exactly():
 
 
 def test_table1_renders():
-    text = table1.render(run_at_seed(table1.scenarios()))
+    text = table1.render(run(table1.scenarios()))
     assert "Clay(10,4)" in text and "3.25" in text
 
 
@@ -38,7 +43,7 @@ def test_table1_renders():
 # Figure 2
 # ----------------------------------------------------------------------
 def fig2_rows():
-    return typed_rows(run_at_seed(fig2.scenarios()), fig2.CaseRow)
+    return typed_rows(run(fig2.scenarios()), fig2.CaseRow)
 
 
 def test_fig2_four_cases():
@@ -60,8 +65,14 @@ def test_fig2_case_membership():
 # Figure 4
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def fig4_points():
-    return typed_rows(run_at_seed(fig4.scenarios()), fig4.ChunkSizePoint)
+def fig4_results():
+    """The CLI's ``fig4``: the curve, then the calibration anchors."""
+    return run(fig4.scenarios_with_calibration())
+
+
+@pytest.fixture(scope="module")
+def fig4_points(fig4_results):
+    return typed_rows(fig4_results[:1], fig4.ChunkSizePoint)
 
 
 def test_fig4_tradeoff_shape(fig4_points):
@@ -71,9 +82,11 @@ def test_fig4_tradeoff_shape(fig4_points):
     assert fig4_points[-1].degraded_read_time > fig4_points[0].degraded_read_time
 
 
-def test_fig4_calibration_anchors(fig4_points):
-    for anchor in calibration.check():
-        assert anchor.ok
+def test_fig4_calibration_anchors(fig4_results):
+    anchors = typed_rows(fig4_results[1:], calibration.Anchor)
+    assert len(anchors) == 4
+    for anchor in anchors:
+        assert anchor.ok, anchor
 
 
 def test_fig4_degraded_dominated_by_transfer_at_small_chunks(fig4_points):
@@ -92,7 +105,7 @@ def test_fig4_read_amplification_at_huge_chunks():
 # Figure 7 / Table 2
 # ----------------------------------------------------------------------
 def test_fig7_cdfs(capsys):
-    results = run_at_seed(fig7.scenarios(n_objects=30_000))
+    results = run(fig7.scenarios(n_objects=30_000))
     result = fig7.from_results(results)
     assert result.capacity_above_4mb > 0.977
     assert np.all(np.diff(result.capacity_cdf) >= -1e-12)
@@ -104,7 +117,7 @@ def test_fig7_cdfs(capsys):
 
 def test_table2_stats_match_paper():
     rows = {r.name: r for r in typed_rows(
-        run_at_seed(table2.scenarios(n_objects=20_000)), table2.WorkloadRow)}
+        run(table2.scenarios(n_objects=20_000)), table2.WorkloadRow)}
     w1, w2 = rows["W1"], rows["W2"]
     assert w1.mean_object_size == pytest.approx(102.8 * MB, rel=0.1)
     assert w1.mean_request_size == pytest.approx(148.5 * MB, rel=0.02)
@@ -116,7 +129,7 @@ def test_table2_stats_match_paper():
 # Figure 14
 # ----------------------------------------------------------------------
 def test_fig14_peaks_at_small_q():
-    points = typed_rows(run_at_seed(fig14.scenarios("W1", n_objects=2000)),
+    points = typed_rows(run(fig14.scenarios("W1", n_objects=2000)),
                         fig14.QPoint)
     by_q = {p.q: p.average_chunk_size for p in points}
     peak = max(by_q.values())
@@ -130,7 +143,7 @@ def test_fig14_peaks_at_small_q():
 
 
 def test_fig14_w2():
-    results = run_at_seed(fig14.scenarios("W2", n_objects=5000))
+    results = run(fig14.scenarios("W2", n_objects=5000))
     assert fig14.best_q(typed_rows(results, fig14.QPoint)) in (2, 3)
     assert "Peak at q=" in fig14.render(results)
 
@@ -143,9 +156,10 @@ def test_breakdown_geo_rows_partition_every_object(workload):
     """Each Geo row is what partitioning every sampled object gives: the
     front bytes over all bytes, and the bucketed bytes per chunk."""
     setting = setting_by_name(workload)
-    sizes = [int(s) for s in sample_workload(setting, 400, 0)]
-    rows = typed_rows(run_at_seed(breakdown.scenarios(workload, 400)),
-                      breakdown.BreakdownRow)
+    units = breakdown.scenarios(workload, 400)
+    sizes = [int(s) for s in
+             sample_workload(setting, 400, units[0].derive_seed(0))]
+    rows = typed_rows(run(units), breakdown.BreakdownRow)
     assert len(rows) == len(setting.geo_s0_variants) + 1
     for s0, row in zip(setting.geo_s0_variants, rows):
         partitioner = GeometricPartitioner(s0, 2, setting.max_chunk_size)
@@ -164,8 +178,8 @@ def test_breakdown_geo_rows_partition_every_object(workload):
 # ----------------------------------------------------------------------
 # Calibration rendering
 # ----------------------------------------------------------------------
-def test_calibration_to_text():
-    text = calibration.to_text(calibration.anchors())
+def test_calibration_renders(fig4_results):
+    text = calibration.render(fig4_results[1:])
     assert "recovery bandwidth" in text
 
 
@@ -173,13 +187,12 @@ def test_calibration_to_text():
 # Figures 3 and 8
 # ----------------------------------------------------------------------
 def test_fig3_fig8_cases():
-    from repro.experiments import fig3_fig8
-
-    cases = {c.name: c for c in fig3_fig8.run()}
+    results = run(fig3_fig8.scenarios())
+    cases = {c.name: c for c in typed_rows(results, fig3_fig8.PipelineCase)}
     assert cases["Fig3: regenerating, one chunk"].saving == 0.0
     case1 = cases["Fig8 case 1: repair outpaces transfer"]
     case2 = cases["Fig8 case 2: transfer blocked by repair"]
     assert case1.total_ms < case2.total_ms
     assert 0 < case2.saving < case1.saving < 1
-    text = fig3_fig8.to_text(fig3_fig8.run())
+    text = fig3_fig8.render(results)
     assert "Fig8 case 1" in text and "|" in text

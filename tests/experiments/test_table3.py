@@ -16,10 +16,10 @@ def test_table3_scenarios_and_render():
 
 def test_table3_run_produces_positive_bandwidths():
     from repro.experiments import tradeoff
-    from repro.experiments.common import run_at_seed
 
-    results = run_at_seed(table3.scenarios("W1", n_objects=200,
-                                           schemes=["Geo-128K"]))
+    results = run_scenarios(table3.scenarios("W1", n_objects=200,
+                                             schemes=["Geo-128K"]),
+                            RunOptions(cache=False)).results
     result = tradeoff.from_results(results)
     assert result.results
     for row in result.results:
