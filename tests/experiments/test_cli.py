@@ -135,6 +135,23 @@ def test_cli_usage_errors_run_nothing(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["durability-frontier", "--fleet-disks", "112"],   # 14 nodes = k + r
+    ["traffic-frontier", "--tenants", "1"],
+    ["traffic-frontier", "--tenants", "3"],            # every preset
+])
+def test_cli_accepts_the_edge_values(argv):
+    """The bounds the usage checks above enforce are inclusive: the
+    smallest fleet and each end of the tenant range build units that
+    carry the value."""
+    _args, units, _sections = build(argv)
+    value = int(argv[2])
+    if argv[1] == "--fleet-disks":
+        assert {u.params["n_disks"] for u in units} == {value}
+    else:
+        assert {len(u.params["tenants"]) for u in units} == {value}
+
+
 def test_cli_table1(tmp_path, capsys):
     assert main(["table1", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
